@@ -108,34 +108,29 @@ def rank_one_build(
         D=np.outer(p.u, p.v.conj()),
         U=np.diag([p.omega1, p.omega2]),
     )
-    r = p.r
-    u1, u2 = p.u
-    cv1, cv2 = p.v.conj()
 
     def closed_form(s) -> complex:
-        p1 = mobius_phi(p.omega1, s)
-        p2 = mobius_phi(p.omega2 / r, s) / r
-        den = 1.0 - u1 * cv1 * p1 - u2 * cv2 * p2
-        if abs(den) < DEN_EPS:
-            raise DegenerateDenominator(f"determinant modulus {abs(den):.3e} at {tuple(s)}")
-        n_mat = np.array(
-            [
-                [p1 * (1.0 - u2 * cv2 * p2), u1 * cv2 * p1 * p2],
-                [u2 * cv1 * p1 * p2, p2 * (1.0 - u1 * cv1 * p1)],
-            ]
-        )
-        return complex(np.vdot(p.beta, n_mat @ p.gamma)) / den
+        return _closed_form_and_denominator(p, s)[0]
 
     return colligation, closed_form
 
 
-def catalog_crosscheck(p: RankOneParams, n: int, seed: int) -> float:
-    """Max gap between the closed form and the colligation evaluation."""
-    colligation, closed_form = rank_one_build(p)
-    gap = 0.0
-    for s in sample_rG(n, p.r, seed):
-        gap = max(gap, abs(closed_form(s) - eval_f(colligation, s)))
-    return gap
+def _closed_form_and_denominator(p: RankOneParams, s) -> tuple[complex, float]:
+    """The closed form of :func:`rank_one_build` at s, and |det(s)|."""
+    u1, u2 = p.u
+    cv1, cv2 = p.v.conj()
+    p1 = mobius_phi(p.omega1, s)
+    p2 = mobius_phi(p.omega2 / p.r, s) / p.r
+    den = 1.0 - u1 * cv1 * p1 - u2 * cv2 * p2
+    if abs(den) < DEN_EPS:
+        raise DegenerateDenominator(f"determinant modulus {abs(den):.3e} at {tuple(s)}")
+    n_mat = np.array(
+        [
+            [p1 * (1.0 - u2 * cv2 * p2), u1 * cv2 * p1 * p2],
+            [u2 * cv1 * p1 * p2, p2 * (1.0 - u1 * cv1 * p1)],
+        ]
+    )
+    return complex(np.vdot(p.beta, n_mat @ p.gamma)) / den, abs(den)
 
 
 @dataclass(frozen=True)
@@ -151,20 +146,16 @@ class CatalogCampaign:
 
 
 def catalog_campaign(p: RankOneParams, name: str, n: int, seed: int) -> CatalogCampaign:
-    colligation, closed_form = rank_one_build(p)
-    r = p.r
-    u1, u2 = p.u
-    cv1, cv2 = p.v.conj()
+    """Compare the closed form with the colligation evaluation on n seeded points."""
+    colligation, _ = rank_one_build(p)
     gap = 0.0
     max_abs = 0.0
     min_den = float("inf")
     for s in sample_rG(n, p.r, seed):
-        val_closed = closed_form(s)
+        val_closed, den = _closed_form_and_denominator(p, s)
         gap = max(gap, abs(val_closed - eval_f(colligation, s)))
         max_abs = max(max_abs, abs(val_closed))
-        p1 = mobius_phi(p.omega1, s)
-        p2 = mobius_phi(p.omega2 / r, s) / r
-        min_den = min(min_den, abs(1.0 - u1 * cv1 * p1 - u2 * cv2 * p2))
+        min_den = min(min_den, den)
     if n == 0:
         min_den = 0.0
     return CatalogCampaign(

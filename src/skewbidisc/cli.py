@@ -22,6 +22,7 @@ import json
 import sys
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -40,10 +41,16 @@ from .kernels import (
     KernelContext,
     factorization_residual,
     hermitian_symmetry_residual,
-    kernel_Z,
     substitution_residual,
 )
-from .realization import eval_f, model_residual, realization_from_model, schur_certify
+from .realization import (
+    GrModel,
+    eval_f,
+    eval_u,
+    model_families,
+    realization_from_model,
+    schur_certify,
+)
 from .synthesis import (
     eval_w,
     model_f_eval,
@@ -134,10 +141,9 @@ def cmd_certify(cfg: RunConfig) -> Report:
     colligation = jsonio.colligation_from_json(obj)
     cert = schur_certify(colligation, cfg.samples, cfg.seed, tol=cfg.tol)
     grid = sample_rG(min(cfg.samples, 20), colligation.r, cfg.seed)
-    pair_res = 0.0
-    for s in grid:
-        for t in grid:
-            pair_res = max(pair_res, model_residual(colligation, s, t))
+    model = GrModel(colligation.dim, colligation.U, colligation.R,
+                    partial(eval_u, colligation), partial(eval_f, colligation))
+    pair_res = linalg.gram_gap(*model_families(model, grid))
     checks = [
         ("schur_bound", max(0.0, cert.max_abs_f - 1.0), cfg.tol),
         ("diag_model_residual", cert.max_diag_residual, 1e-9),
@@ -156,15 +162,8 @@ def cmd_synthesize(cfg: RunConfig) -> Report:
     try:
         model = synthesize(spec, pts, tol=cfg.tol)
     except GramianMismatch as exc:
-        msg = str(exc)
-        if "sigma" in msg:
-            name = "sigma_symmetry"
-        elif "bidisc" in msg:
-            name = "bidisc_model"
-        else:
-            name = "gramian"
         residual = exc.residual if exc.residual is not None else float("inf")
-        return _finish("synthesize", [(name, residual, cfg.tol)], cfg.seed, len(pts), started)
+        return _finish("synthesize", [(exc.check, residual, cfg.tol)], cfg.seed, len(pts), started)
     rep = model.residual_report
     checks = [
         ("sigma_symmetry", rep["sigma_symmetry_residual"], cfg.tol),
@@ -173,18 +172,21 @@ def cmd_synthesize(cfg: RunConfig) -> Report:
         ("isometry_agreement", rep["isometry_residual"], cfg.tol),
         ("u_unitarity", rep["u_unitarity"], cfg.tol),
     ]
-    # Kernel identity on a pair grid of interior points.
+    # Kernel identity 1 - conj(F(mu)) F(lam) = <Z(lam, mu) w(lam), w(mu)> on a
+    # pair grid of interior points.  With a = (1 - r l2 U R^-1) w and
+    # b = (1 - l1 U R^-1) w, the product form of Z makes it the equality of
+    # the Gramians of [1; l1 R^-1 a; r l2 R^-1 b] and [F; a; b].
     grid = sample_skew_bidisc(8, spec.r, cfg.seed + 1)
-    ctx = KernelContext(model.U, model.R)
-    w_cache = {i: eval_w(model, lam) for i, lam in enumerate(grid)}
-    f_cache = {i: spec.F.eval(lam) for i, lam in enumerate(grid)}
-    kernel_res = 0.0
-    for i, lam in enumerate(grid):
-        for j, mu in enumerate(grid):
-            lhs = 1.0 - complex(f_cache[j]).conjugate() * complex(f_cache[i])
-            rhs = np.vdot(w_cache[j], kernel_Z(ctx, lam, mu) @ w_cache[i])
-            kernel_res = max(kernel_res, abs(lhs - rhs))
-    checks.append(("kernel_z_identity", kernel_res, 1e-9))
+    rinv = model.R.inv_matrix
+    kz_a, kz_b = [], []
+    for l1, l2 in grid:
+        w = eval_w(model, (l1, l2))
+        urinv_w = model.U @ (rinv @ w)
+        a = w - spec.r * l2 * urinv_w
+        b = w - l1 * urinv_w
+        kz_a.append(np.concatenate([[1.0], l1 * (rinv @ a), spec.r * l2 * (rinv @ b)]))
+        kz_b.append(np.concatenate([[spec.F.eval((l1, l2))], a, b]))
+    checks.append(("kernel_z_identity", linalg.gram_gap(kz_a, kz_b), 1e-9))
     w_sym = max(
         float(np.linalg.norm(eval_w(model, sigma(lam, spec.r)) - eval_w(model, lam)))
         for lam in grid

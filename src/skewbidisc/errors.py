@@ -33,12 +33,14 @@ class GramianMismatch(SkewBidiscError):
     """Two vector families do not have matching Gramians within tolerance.
 
     Carries the offending residual when it is known, so reports can surface
-    the number instead of just the message.
+    the number instead of just the message, and the name of the failed
+    check: ``"gramian"``, ``"sigma_symmetry"`` or ``"bidisc_model"``.
     """
 
-    def __init__(self, message: str, residual: float | None = None):
+    def __init__(self, message: str, residual: float | None = None, check: str = "gramian"):
         super().__init__(message)
         self.residual = residual
+        self.check = check
 
 
 class OutsideDomain(SkewBidiscError):

@@ -30,7 +30,7 @@ def complex_from_json(obj: Any, where: str) -> complex:
     if not isinstance(obj, dict) or set(obj) != {"re", "im"}:
         raise ParseError(f"{where}: expected an object with keys 're' and 'im'")
     re, im = obj["re"], obj["im"]
-    if not isinstance(re, (int, float)) or not isinstance(im, (int, float)):
+    if not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in (re, im)):
         raise ParseError(f"{where}: 're' and 'im' must be numbers")
     if not (math.isfinite(re) and math.isfinite(im)):
         raise ParseError(f"{where}: non-finite component")
@@ -70,7 +70,7 @@ def _require(obj: dict, key: str, where: str) -> Any:
 
 
 def _real_number(obj: Any, where: str) -> float:
-    if not isinstance(obj, (int, float)) or not math.isfinite(obj):
+    if not isinstance(obj, (int, float)) or isinstance(obj, bool) or not math.isfinite(obj):
         raise ParseError(f"{where}: expected a finite number")
     return float(obj)
 

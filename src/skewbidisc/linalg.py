@@ -4,7 +4,9 @@ Everything operates on numpy ``complex128`` arrays.  The two non-trivial
 operations are :func:`isometry_from_gramians`, which converts a pair of
 vector families with equal Gramians into an explicit partial isometry
 mapping one family onto the other, and :func:`unitary_extension`, which
-completes such a partial isometry to a full unitary matrix.
+completes such a partial isometry to a full unitary matrix.  Every
+pair-grid identity the package certifies is an equality of two Gramians,
+measured by the single check :func:`gram_gap`.
 
 Default tolerances: 1e-10 for identities between computed quantities,
 1e-12 for unitarity defects.
@@ -48,11 +50,6 @@ def as_vector(x, name: str = "vector") -> np.ndarray:
     if a.size and not np.all(np.isfinite(a)):
         raise ShapeMismatch(f"{name} contains non-finite entries")
     return a
-
-
-def adjoint(m) -> np.ndarray:
-    """Conjugate transpose."""
-    return _as_matrix(m).conj().T
 
 
 def inverse(m, rcond: float = RCOND) -> np.ndarray:
@@ -159,10 +156,23 @@ def _family_matrix(fam, name: str) -> np.ndarray:
     return np.column_stack(vecs)
 
 
-def gramian(fam, name: str = "family") -> np.ndarray:
-    """Matrix of pairwise inner products ``G[i, j] = <fam_j, fam_i>``."""
-    m = _family_matrix(fam, name)
-    return m.conj().T @ m
+def gram_gap(A, B) -> float:
+    """Largest entry of ``|A^H A - B^H B|``; 0.0 for empty families.
+
+    A and B are families as in :func:`isometry_from_gramians`, with equal
+    vector counts but possibly different ambient dimensions.  Entry (i, j)
+    is ``<A_j, A_i> - <B_j, B_i>``, so one call checks a pair-grid identity
+    ``<A_s, A_t> = <B_s, B_t>`` on all pairs of points.
+    """
+    a_mat = _family_matrix(A, "family A")
+    b_mat = _family_matrix(B, "family B")
+    if a_mat.shape[1] != b_mat.shape[1]:
+        raise ShapeMismatch(
+            f"families have {a_mat.shape[1]} and {b_mat.shape[1]} vectors"
+        )
+    if a_mat.shape[1] == 0:
+        return 0.0
+    return float(np.max(np.abs(a_mat.conj().T @ a_mat - b_mat.conj().T @ b_mat)))
 
 
 def isometry_from_gramians(A, B, tol: float = TOL_IDENTITY) -> PartialIsometry:
@@ -191,25 +201,12 @@ def isometry_from_gramians(A, B, tol: float = TOL_IDENTITY) -> PartialIsometry:
     """
     a_mat = _family_matrix(A, "family A")
     b_mat = _family_matrix(B, "family B")
-    if a_mat.shape[1] != b_mat.shape[1]:
-        raise ShapeMismatch(
-            f"families have {a_mat.shape[1]} and {b_mat.shape[1]} vectors"
-        )
-    gram_gap = 0.0
-    if a_mat.shape[1]:
-        gram_a = a_mat.conj().T @ a_mat
-        gram_b = b_mat.conj().T @ b_mat
-        gram_gap = float(np.max(np.abs(gram_a - gram_b)))
-        if gram_gap > tol:
-            raise GramianMismatch(
-                f"Gramians differ by {gram_gap:.3e} > tol {tol:.1e}",
-                residual=gram_gap,
-            )
-    if a_mat.shape[1] == 0:
-        return PartialIsometry(
-            domain_basis=np.zeros((a_mat.shape[0], 0), dtype=complex),
-            image_basis=np.zeros((b_mat.shape[0], 0), dtype=complex),
-            rank=0,
+    gap = gram_gap(a_mat, b_mat)
+    if gap > tol:
+        raise GramianMismatch(
+            f"Gramians differ by {gap:.3e} > tol {tol:.1e}",
+            residual=gap,
+            check="gramian",
         )
     u_a, svals, vh_a = np.linalg.svd(a_mat, full_matrices=False)
     smax = float(svals[0]) if svals.size else 0.0

@@ -12,7 +12,8 @@ for all s, t in r.G, which in particular bounds |f| by 1.  Conversely,
 :func:`realization_from_model` recovers a colligation from any model
 (u_eval, f_eval) satisfying that identity, by completing the partial
 isometry that sends [1; s_{U,R} u(s)] to [f(s); u(s)] across a family of
-sample points.
+sample points.  On a grid of points the identity is the equality of the
+Gramians of those two families, built by :func:`model_families`.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 from . import linalg
 from .colligation import Colligation, ROperator, s_T, s_UR, validate_colligation
 from .domains import Point2, check_r, in_rG, sample_rG
-from .errors import GramianMismatch, InvalidParams, NotInvertible, OutsideDomain
+from .errors import InsufficientSamples, InvalidParams, NotInvertible, OutsideDomain
 
 Evaluator = Callable[[Sequence[complex]], np.ndarray]
 ScalarEvaluator = Callable[[Sequence[complex]], complex]
@@ -108,45 +109,51 @@ def schur_certify(
     )
 
 
+def model_families(m: GrModel, pts: Sequence[Point2]) -> tuple[np.ndarray, np.ndarray]:
+    """The families [1; s_{U,R} u(s)] and [f(s); u(s)] over the points, as columns.
+
+    Entry (i, j) of Gram(A) - Gram(B) is the model identity defect at the
+    pair (s, t) = (s_j, s_i), so ``linalg.gram_gap`` of the two families is
+    the worst :func:`model_residual` over all pairs of points.
+    """
+    a_fam = np.zeros((1 + m.dim, len(pts)), dtype=complex)
+    b_fam = np.zeros_like(a_fam)
+    for k, s in enumerate(pts):
+        u = linalg.as_vector(m.u_eval(s), "u(s)")
+        a_fam[0, k] = 1.0
+        a_fam[1:, k] = s_UR(s, m.U, m.R) @ u
+        b_fam[0, k] = m.f_eval(s)
+        b_fam[1:, k] = u
+    return a_fam, b_fam
+
+
 def realization_from_model(
     m: GrModel, sample_pts: Sequence[Point2], tol: float = 1e-10
 ) -> Colligation:
     """Extract a colligation whose realized function matches the model.
 
-    The families [1; s_{U,R} u(s_i)] and [f(s_i); u(s_i)] in C (+) C^dim
-    have equal Gramians exactly when the model identity holds on all sample
-    pairs, so the identity is verified first (GramianMismatch carries the
-    worst pair residual on failure).  The partial isometry between the
-    families is then completed to a unitary on C^{1+dim} and the blocks are
-    read off.  Sampling enough points in general position (in practice
+    The families of :func:`model_families` have equal Gramians exactly when
+    the model identity holds on all sample pairs; ``isometry_from_gramians``
+    verifies that (GramianMismatch carries the worst pair residual on
+    failure) and builds the partial isometry between them, which is then
+    completed to a unitary on C^{1+dim} whose blocks are read off.
+
+    Raises InsufficientSamples when the sampled span might still grow
+    (numerical rank equals the sample count but not 1 + dim): the unitary
+    completion is then arbitrary on directions that unsampled points of the
+    model reach, and the extracted colligation can validate while realizing
+    a different function.  Sampling enough points in general position (in practice
     4 (dim + 1) suffices) saturates the span, and no enlargement of the
     state space is ever needed at finite dimension.
     """
     pts = list(sample_pts)
     if not pts:
         raise InvalidParams("at least one sample point is required")
-    fracs = [s_UR(s, m.U, m.R) for s in pts]
-    us = [linalg.as_vector(m.u_eval(s), "u(s)") for s in pts]
-    fs = [complex(m.f_eval(s)) for s in pts]
-    eye = np.eye(m.dim)
-    worst = 0.0
-    for i in range(len(pts)):
-        for j in range(len(pts)):
-            lhs = 1.0 - fs[i].conjugate() * fs[j]
-            rhs = np.vdot(us[i], (eye - fracs[i].conj().T @ fracs[j]) @ us[j])
-            worst = max(worst, abs(lhs - rhs))
-    if worst > tol:
-        raise GramianMismatch(
-            f"model identity fails on sample pairs: residual {worst:.3e} > {tol:.1e}",
-            residual=worst,
+    isom = linalg.isometry_from_gramians(*model_families(m, pts), tol)
+    if isom.rank == len(pts) < 1 + m.dim:
+        raise InsufficientSamples(
+            f"sampled span rank {isom.rank} equals the sample count; add points"
         )
-    a_fam = np.column_stack(
-        [np.concatenate([[1.0 + 0.0j], frac @ u]) for frac, u in zip(fracs, us)]
-    )
-    b_fam = np.column_stack(
-        [np.concatenate([[f], u]) for f, u in zip(fs, us)]
-    )
-    isom = linalg.isometry_from_gramians(a_fam, b_fam, tol)
     big_l = linalg.unitary_extension(isom, 1 + m.dim)
     return Colligation(
         r=m.R.r,

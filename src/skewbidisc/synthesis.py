@@ -151,10 +151,7 @@ def _gram_families(spec: BidiscModelSpec, pts: Sequence[Point2], rinv: np.ndarra
         v_sig = eval_v(spec, sigma(lam, spec.r))
         a_cols.append(rinv @ (l1 * v_here - spec.r * l2 * v_sig))
         b_cols.append(v_here - v_sig)
-    dim = spec.dim
-    a_mat = np.column_stack(a_cols) if a_cols else np.zeros((dim, 0), dtype=complex)
-    b_mat = np.column_stack(b_cols) if b_cols else np.zeros((dim, 0), dtype=complex)
-    return a_mat, b_mat
+    return np.column_stack(a_cols), np.column_stack(b_cols)
 
 
 def synthesis_sample_points(n: int, r: float, scale: float = 0.8) -> list[Point2]:
@@ -182,22 +179,20 @@ def synthesis_sample_points(n: int, r: float, scale: float = 0.8) -> list[Point2
     return pts
 
 
-def _spec_precheck(spec: BidiscModelSpec, pts: Sequence[Point2], tol: float) -> tuple[float, float]:
-    """Max symmetry and model-identity residuals of the spec over a point set."""
-    from .kernels import bidisc_model_residual
+def _spec_precheck(spec: BidiscModelSpec, pts: Sequence[Point2]) -> tuple[float, float]:
+    """Max symmetry and model-identity residuals of the spec over a point set.
 
-    max_sym = 0.0
-    for lam in pts:
-        lam_s = sigma(lam, spec.r)
-        max_sym = max(max_sym, abs(spec.F.eval(lam_s) - spec.F.eval(lam)))
-    max_model = 0.0
-    for lam in pts:
-        for mu in pts:
-            max_model = max(
-                max_model,
-                bidisc_model_residual(spec.u1.eval, spec.u2.eval, spec.F.eval, lam, mu),
-            )
-    return max_sym, max_model
+    On all pairs of points the two-disc model identity is the equality of the
+    Gramians of [1; l1 u1(lam); l2 u2(lam)] and [F(lam); u1(lam); u2(lam)].
+    """
+    f_vals = [spec.F.eval(lam) for lam in pts]
+    max_sym = max(abs(spec.F.eval(sigma(lam, spec.r)) - f) for lam, f in zip(pts, f_vals))
+    a_cols, b_cols = [], []
+    for lam, f in zip(pts, f_vals):
+        u1, u2 = spec.u1.eval(lam), spec.u2.eval(lam)
+        a_cols.append(np.concatenate([[1.0], lam[0] * u1, lam[1] * u2]))
+        b_cols.append(np.concatenate([[f], u1, u2]))
+    return max_sym, linalg.gram_gap(a_cols, b_cols)
 
 
 @dataclass(eq=False, frozen=True)
@@ -218,10 +213,11 @@ def synthesize(
 
     The spec is first screened on the sample points plus a fixed seeded
     grid: F must be sigma-symmetric and the bidisc model identity must hold,
-    both within ``tol``; violations raise GramianMismatch naming the failed
-    check, since either defect breaks the Gramian equality the construction
-    rests on.  The families A and B are then stacked over the sample points
-    and the partial isometry between them is completed to the unitary U.
+    both within ``tol``; violations raise GramianMismatch whose ``check`` is
+    ``"sigma_symmetry"`` or ``"bidisc_model"``, since either defect breaks
+    the Gramian equality the construction rests on.  The families A and B
+    are then stacked over the sample points and the partial isometry
+    between them is completed to the unitary U.
 
     Raises InsufficientSamples when fewer than 2 (d1 + d2) points are given
     or when the sampled span might still grow (numerical rank equals the
@@ -241,16 +237,18 @@ def synthesize(
     from .domains import sample_skew_bidisc
 
     grid = sample_skew_bidisc(VALIDATION_GRID_SIZE, spec.r, VALIDATION_SEED)
-    max_sym, max_model = _spec_precheck(spec, pts + grid, tol)
+    max_sym, max_model = _spec_precheck(spec, pts + grid)
     if max_sym > tol:
         raise GramianMismatch(
             f"sigma-symmetry of F fails: residual {max_sym:.3e} > {tol:.1e}",
             residual=max_sym,
+            check="sigma_symmetry",
         )
     if max_model > tol:
         raise GramianMismatch(
             f"bidisc model identity fails: residual {max_model:.3e} > {tol:.1e}",
             residual=max_model,
+            check="bidisc_model",
         )
     split = SubspaceSplit(spec.d1, spec.d2)
     r_op = build_R(split, spec.r)
@@ -261,19 +259,17 @@ def synthesize(
             f"sampled span rank {isom.rank} equals the sample count; add points"
         )
     u = linalg.unitary_extension(isom, spec.dim)
-    gram_gap = float(np.max(np.abs(a_mat.conj().T @ a_mat - b_mat.conj().T @ b_mat))) if pts else 0.0
     agree = 0.0
     for i in range(a_mat.shape[1]):
         agree = max(agree, float(np.linalg.norm(u @ a_mat[:, i] - b_mat[:, i])))
     report = {
-        "gramian_residual": gram_gap,
+        "gramian_residual": linalg.gram_gap(a_mat, b_mat),
         "isometry_residual": agree,
         "u_unitarity": linalg.spectral_norm(u.conj().T @ u - np.eye(spec.dim)),
         "sigma_symmetry_residual": max_sym,
         "bidisc_model_residual": max_model,
         "rank": isom.rank,
         "sample_count": len(pts),
-        "enlarged": False,
     }
     return SynthesizedModel(dim=spec.dim, U=u, R=r_op, spec=spec, residual_report=report)
 

@@ -7,7 +7,6 @@ from skewbidisc.catalog import (
     RankOneParams,
     blend_params,
     catalog_campaign,
-    catalog_crosscheck,
     magic_params,
     named_params,
     random_params,
@@ -82,7 +81,7 @@ def test_blend_closed_form_formula():
 
 @pytest.mark.parametrize("name", CATALOG_NAMES)
 def test_crosscheck_closes_the_loop(name):
-    gap = catalog_crosscheck(named_params(name, R, seed=8), n=150, seed=9)
+    gap = catalog_campaign(named_params(name, R, seed=8), name, n=150, seed=9).max_gap
     assert gap < 1e-11
 
 

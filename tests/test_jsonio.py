@@ -19,6 +19,8 @@ def test_complex_roundtrip():
         {"re": 1.0, "im": "x"},
         {"re": float("nan"), "im": 0.0},
         [1.0, 2.0],
+        {"re": True, "im": False},
+        {"re": 0.5, "im": True},
     ],
 )
 def test_complex_rejects_malformed(obj):
@@ -57,6 +59,8 @@ def test_colligation_parse_failures():
     ):
         with pytest.raises(ParseError):
             jsonio.colligation_from_json(broken)
+    with pytest.raises(ParseError, match="finite number"):
+        jsonio.colligation_from_json({**obj, "r": True})
 
 
 def test_model_spec_roundtrip(lambda12_spec):

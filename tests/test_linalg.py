@@ -24,18 +24,6 @@ def small_matrices(draw, n=3):
     return np.array(entries, dtype=complex).reshape(n, n)
 
 
-@given(small_matrices())
-@settings(max_examples=50, deadline=None)
-def test_adjoint_is_involutive(m):
-    np.testing.assert_array_equal(linalg.adjoint(linalg.adjoint(m)), m)
-
-
-def test_adjoint_conjugates_and_transposes():
-    m = np.array([[1.0, 1.0j], [0.0, 2.0]], dtype=complex)
-    expected = np.array([[1.0, 0.0], [-1.0j, 2.0]], dtype=complex)
-    np.testing.assert_array_equal(linalg.adjoint(m), expected)
-
-
 def test_inverse_of_identity():
     np.testing.assert_allclose(linalg.inverse(np.eye(3)), np.eye(3))
 
@@ -137,8 +125,29 @@ def test_isometry_bases_are_orthonormal():
 def test_isometry_rejects_mismatched_gramians():
     a_mat = np.eye(2, dtype=complex)
     b_mat = np.array([[1.0, 0.0], [0.0, 2.0]], dtype=complex)
-    with pytest.raises(GramianMismatch):
+    with pytest.raises(GramianMismatch) as exc_info:
         linalg.isometry_from_gramians(a_mat, b_mat, tol=1e-10)
+    assert exc_info.value.check == "gramian"
+    assert exc_info.value.residual == 3.0
+
+
+def test_gram_gap_values():
+    a_mat = np.eye(2, dtype=complex)
+    # Ambient dimensions may differ; Gram(b) = diag(1, 4).
+    b_mat = np.array([[1.0, 0.0], [0.0, 2.0], [0.0, 0.0]], dtype=complex)
+    assert linalg.gram_gap(a_mat, b_mat) == 3.0
+    assert linalg.gram_gap([np.array([3.0, 4.0j])], [np.array([5.0])]) == 0.0
+    assert linalg.gram_gap(np.zeros((2, 0)), np.zeros((5, 0))) == 0.0
+    with pytest.raises(ShapeMismatch):
+        linalg.gram_gap(np.zeros((2, 3)), np.zeros((2, 2)))
+
+
+@given(small_matrices())
+@settings(max_examples=50, deadline=None)
+def test_gram_gap_is_unitarily_invariant(m):
+    assert linalg.gram_gap(m, m) == 0.0
+    scale = max(1.0, float(np.max(np.abs(m))) ** 2)
+    assert linalg.gram_gap(m, linalg.haar_unitary(3, 5) @ m) <= 1e-13 * scale
 
 
 def test_isometry_empty_families():

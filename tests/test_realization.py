@@ -9,7 +9,12 @@ from skewbidisc.colligation import (
     random_colligation,
     validate_colligation,
 )
-from skewbidisc.errors import GramianMismatch, InvalidParams, OutsideDomain
+from skewbidisc.errors import (
+    GramianMismatch,
+    InsufficientSamples,
+    InvalidParams,
+    OutsideDomain,
+)
 from skewbidisc.realization import (
     GrModel,
     RealizedFunction,
@@ -112,6 +117,24 @@ def test_realization_rejects_broken_model():
         realization_from_model(broken, pts)
     assert exc_info.value.residual is not None
     assert exc_info.value.residual > 1e-3
+
+
+@pytest.mark.parametrize("n_pts", [1, 3])
+def test_realization_refuses_unsaturated_span(n_pts):
+    # At dimension 5 a few points leave the completion free on directions
+    # the model reaches elsewhere; the extracted colligation would validate
+    # yet realize a different function.
+    c = random_colligation(SubspaceSplit(2, 3), R_DEFAULT, seed=18)
+    pts = domains.sample_rG(n_pts, R_DEFAULT, seed=19)
+    with pytest.raises(InsufficientSamples):
+        realization_from_model(_model_from(c), pts)
+
+
+def test_realization_accepts_a_full_span_of_dim_plus_one_points():
+    c = random_colligation(SubspaceSplit(1, 1), R_DEFAULT, seed=18)
+    extracted = realization_from_model(_model_from(c), domains.sample_rG(3, R_DEFAULT, seed=19))
+    for s in domains.sample_rG(50, R_DEFAULT, seed=20):
+        assert abs(eval_f(extracted, s) - eval_f(c, s)) < 1e-12
 
 
 def test_realization_requires_points():

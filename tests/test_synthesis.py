@@ -1,7 +1,12 @@
+import json
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from skewbidisc import domains
+from skewbidisc import domains, jsonio, linalg
+from skewbidisc.cli import run
+from skewbidisc.colligation import SubspaceSplit, random_colligation
 from skewbidisc.errors import (
     GramianMismatch,
     InsufficientSamples,
@@ -9,11 +14,22 @@ from skewbidisc.errors import (
     OutsideDomain,
     ShapeMismatch,
 )
-from skewbidisc.realization import realization_from_model, eval_f
+from skewbidisc.kernels import KernelContext, bidisc_model_residual, kernel_Z
+from skewbidisc.realization import (
+    GrModel,
+    eval_f,
+    eval_u,
+    model_families,
+    model_residual,
+    realization_from_model,
+)
 from skewbidisc.synthesis import (
+    VALIDATION_GRID_SIZE,
+    VALIDATION_SEED,
     BidiscModelSpec,
     PolyVectorMap,
     ScalarPoly,
+    _spec_precheck,
     eval_u_model,
     eval_v,
     eval_w,
@@ -90,7 +106,6 @@ def test_synthesize_product_function(lambda12_spec):
     assert rep["isometry_residual"] < 1e-10
     assert rep["u_unitarity"] < 1e-12
     assert rep["rank"] == 1
-    assert rep["enlarged"] is False
     assert model.U.shape == (2, 2)
 
 
@@ -195,3 +210,134 @@ def test_synthesis_sample_points_stay_in_domain():
     assert synthesis_sample_points(16, 0.5) == synthesis_sample_points(16, 0.5)
     with pytest.raises(InvalidParams):
         synthesis_sample_points(4, 0.5, scale=1.5)
+
+
+# The Gram-form checks against the per-pair reference loops they replace.
+# Entry (i, j) of Gram(A) - Gram(B) is one pair's defect, so the largest
+# entry and the worst pair must agree to roundoff, on passing and on
+# failing inputs alike.
+
+DIFF_TOL = 1e-13
+
+
+def _power_spec(k, r=R):
+    """d1 = d2 = k, u1 = [(l1 l2)^j], u2 = [l1 (l1 l2)^j] for j < k, F = (l1 l2)^k."""
+    eye = np.eye(k)
+    return BidiscModelSpec(
+        r=r,
+        d1=k,
+        d2=k,
+        u1=PolyVectorMap(dim=k, terms=tuple(((j, j), eye[j]) for j in range(k))),
+        u2=PolyVectorMap(dim=k, terms=tuple(((j + 1, j), eye[j]) for j in range(k))),
+        F=ScalarPoly((((k, k), 1.0 + 0j),)),
+    )
+
+
+def _run_report(capsys, argv):
+    code = run(argv)
+    return code, json.loads(capsys.readouterr().out)
+
+
+def _check(report, name):
+    return next(res for (n, res, _) in report["checks"] if n == name)
+
+
+def _precheck_points(spec):
+    return synthesis_sample_points(4 * spec.dim + 4, spec.r) + domains.sample_skew_bidisc(
+        VALIDATION_GRID_SIZE, spec.r, VALIDATION_SEED
+    )
+
+
+def _reference_precheck(spec, pts):
+    sym = max(abs(spec.F.eval(domains.sigma(lam, spec.r)) - spec.F.eval(lam)) for lam in pts)
+    model = max(
+        bidisc_model_residual(spec.u1.eval, spec.u2.eval, spec.F.eval, lam, mu)
+        for lam in pts
+        for mu in pts
+    )
+    return sym, model
+
+
+@pytest.mark.parametrize("seed", [30, 31])
+@pytest.mark.parametrize("shift", [0.0, 0.1])
+def test_model_families_match_model_residual_loop(seed, shift, tmp_path, capsys):
+    c = random_colligation(SubspaceSplit(2, 3), R, seed=seed)
+    c.a += shift  # a nonzero shift breaks the model identity
+    pts = domains.sample_rG(12, R, seed=seed + 1)
+    ref = max(model_residual(c, s, t) for s in pts for t in pts)
+    model = GrModel(c.dim, c.U, c.R, lambda s: eval_u(c, s), lambda s: eval_f(c, s))
+    assert abs(linalg.gram_gap(*model_families(model, pts)) - ref) <= DIFF_TOL
+    if shift:
+        assert ref > 1e-3
+        with pytest.raises(GramianMismatch) as exc_info:
+            realization_from_model(model, pts)
+        assert exc_info.value.check == "gramian"
+        assert abs(exc_info.value.residual - ref) <= DIFF_TOL
+    # The certify command's pair grid: the first min(samples, 20) points.
+    path = tmp_path / "c.json"
+    jsonio.dump_json(jsonio.colligation_to_json(c), path)
+    code, report = _run_report(
+        capsys, ["certify", "--input", str(path), "--samples", "20", "--seed", str(seed)]
+    )
+    grid = domains.sample_rG(20, R, seed)
+    ref = max(model_residual(c, s, t) for s in grid for t in grid)
+    assert abs(_check(report, "pair_model_residual") - ref) <= DIFF_TOL
+    assert (code == 1) == (ref > 1e-9) == bool(shift)
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_spec_precheck_matches_bidisc_pair_loop(k):
+    spec = _power_spec(k)
+    pts = _precheck_points(spec)
+    sym, model = _spec_precheck(spec, pts)
+    ref_sym, ref_model = _reference_precheck(spec, pts)
+    assert sym == ref_sym
+    assert abs(model - ref_model) <= DIFF_TOL
+    assert model < 1e-10
+
+
+@pytest.mark.parametrize(
+    "spec, expected",
+    [
+        (_constant_spec(0.5 + 0j), "bidisc_model"),
+        (replace(_power_spec(2), F=ScalarPoly((((1, 0), 1.0 + 0j),))), "sigma_symmetry"),
+    ],
+)
+def test_broken_spec_fails_both_ways_with_the_same_check(spec, expected, tmp_path, capsys):
+    pts = _precheck_points(spec)
+    ref_sym, ref_model = _reference_precheck(spec, pts)
+    ref_name, ref_res = (
+        ("sigma_symmetry", ref_sym) if ref_sym > 1e-10 else ("bidisc_model", ref_model)
+    )
+    assert ref_name == expected and ref_res > 1e-3
+    with pytest.raises(GramianMismatch) as exc_info:
+        synthesize(spec, synthesis_sample_points(4 * spec.dim + 4, spec.r))
+    assert exc_info.value.check == ref_name
+    assert abs(exc_info.value.residual - ref_res) <= DIFF_TOL
+    path = tmp_path / "spec.json"
+    jsonio.dump_json(jsonio.model_spec_to_json(spec), path)
+    code, report = _run_report(capsys, ["synthesize", "--input", str(path)])
+    assert code == 1
+    assert report["checks"][0][0] == ref_name
+
+
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("seed", [0, 7])
+def test_kernel_z_identity_matches_kernel_z_loop(k, seed, tmp_path, capsys):
+    spec = _power_spec(k)
+    path = tmp_path / "spec.json"
+    jsonio.dump_json(jsonio.model_spec_to_json(spec), path)
+    code, report = _run_report(capsys, ["synthesize", "--input", str(path), "--seed", str(seed)])
+    assert code == 0
+    model = synthesize(spec, synthesis_sample_points(4 * spec.dim + 4, spec.r))
+    ctx = KernelContext(model.U, model.R)
+    grid = domains.sample_skew_bidisc(8, spec.r, seed + 1)
+    ref = max(
+        abs(
+            1.0 - np.conj(spec.F.eval(mu)) * spec.F.eval(lam)
+            - np.vdot(eval_w(model, mu), kernel_Z(ctx, lam, mu) @ eval_w(model, lam))
+        )
+        for lam in grid
+        for mu in grid
+    )
+    assert abs(_check(report, "kernel_z_identity") - ref) <= DIFF_TOL
