@@ -22,7 +22,6 @@ import json
 import sys
 import time
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -43,14 +42,7 @@ from .kernels import (
     hermitian_symmetry_residual,
     substitution_residual,
 )
-from .realization import (
-    GrModel,
-    eval_f,
-    eval_u,
-    model_families,
-    realization_from_model,
-    schur_certify,
-)
+from .realization import evaluate, realization_from_model, schur_certify
 from .synthesis import (
     eval_w,
     model_f_eval,
@@ -79,6 +71,8 @@ class RunConfig:
     def __post_init__(self):
         if self.samples < 0:
             raise ConfigError(f"--samples must be >= 0, got {self.samples}")
+        if self.seed < 0:
+            raise ConfigError(f"--seed must be >= 0, got {self.seed}")
         if not 0.0 < self.r < 1.0:
             raise ConfigError(f"--r must satisfy 0 < r < 1, got {self.r}")
         if not self.tol > 0.0:
@@ -141,9 +135,7 @@ def cmd_certify(cfg: RunConfig) -> Report:
     colligation = jsonio.colligation_from_json(obj)
     cert = schur_certify(colligation, cfg.samples, cfg.seed, tol=cfg.tol)
     grid = sample_rG(min(cfg.samples, 20), colligation.r, cfg.seed)
-    model = GrModel(colligation.dim, colligation.U, colligation.R,
-                    partial(eval_u, colligation), partial(eval_f, colligation))
-    pair_res = linalg.gram_gap(*model_families(model, grid))
+    pair_res = linalg.gram_gap(*evaluate(colligation, grid))
     checks = [
         ("schur_bound", max(0.0, cert.max_abs_f - 1.0), cfg.tol),
         ("diag_model_residual", cert.max_diag_residual, 1e-9),
@@ -198,9 +190,9 @@ def cmd_synthesize(cfg: RunConfig) -> Report:
     colligation = realization_from_model(gr_model, fresh, tol=max(cfg.tol, 1e-10))
     val = validate_colligation(colligation, tol=1e-8)
     checks.append(("l_unitary", val.max_residual, 1e-8))
-    roundtrip = 0.0
-    for s in sample_rG(50, spec.r, cfg.seed + 3):
-        roundtrip = max(roundtrip, abs(eval_f(colligation, s) - model_f_eval(model, s)))
+    rt_pts = sample_rG(50, spec.r, cfg.seed + 3)
+    rt_f = evaluate(colligation, rt_pts)[1][0]
+    roundtrip = max(abs(f - model_f_eval(model, s)) for s, f in zip(rt_pts, rt_f))
     checks.append(("roundtrip_f", roundtrip, 1e-8))
     if cfg.output_path is not None:
         jsonio.dump_json(jsonio.colligation_to_json(colligation), cfg.output_path)

@@ -72,12 +72,11 @@ class ROperator:
     r: float
     matrix: np.ndarray
 
-    @property
+    @cached_property
     def inv_matrix(self) -> np.ndarray:
-        d = np.concatenate(
-            [np.ones(self.split.d1), np.full(self.split.d2, 1.0 / self.r)]
-        )
-        return np.diag(d.astype(complex))
+        inv = np.diag(1.0 / np.diag(self.matrix))
+        inv.flags.writeable = False  # computed once, shared by every reader
+        return inv
 
 
 def build_R(split: SubspaceSplit, r: float) -> ROperator:
@@ -164,25 +163,32 @@ def random_colligation(split: SubspaceSplit, r: float, seed: int) -> Colligation
 
 
 def s_UR(s, U: np.ndarray, R: ROperator) -> np.ndarray:
-    """The fraction (2 s2 R^{-1} U - s1)(2 R - s1 U)^{-1} at s in r.G.
+    """The fraction (2 s2 R^{-1} U - s1)(2 R - s1 U)^{-1} at points of r.G.
 
-    Raises OutsideDomain off the open domain and NotInvertible if the
-    resolvent factor fails, which for points of r.G indicates the input was
-    corrupt rather than a true singularity.
+    ``s`` is one point (s1, s2), giving an (n, n) matrix, or a stack of
+    points of shape (N, 2), giving the (N, n, n) stack of fractions.
+
+    Raises OutsideDomain at the first point off the open domain and
+    NotInvertible if a resolvent factor fails, which for points of r.G
+    indicates the input was corrupt rather than a true singularity.
     """
-    s1, s2 = complex(s[0]), complex(s[1])
-    if not in_rG((s1, s2), R.r, margin=0.0):
-        raise OutsideDomain(f"point ({s1}, {s2}) is not in r.G for r={R.r}")
+    pts = np.asarray(s, dtype=complex)
+    if pts.size and (pts.ndim > 2 or pts.shape[-1:] != (2,)):
+        raise ShapeMismatch(f"points must have shape (2,) or (N, 2), got {pts.shape}")
+    stack = pts.reshape(-1, 2)
+    for s1, s2 in stack.tolist():
+        if not in_rG((s1, s2), R.r, margin=0.0):
+            raise OutsideDomain(f"point ({s1}, {s2}) is not in r.G for r={R.r}")
     u = linalg._as_square(U, "U")
     if u.shape != R.matrix.shape:
         raise ShapeMismatch(f"U has shape {u.shape}, R has shape {R.matrix.shape}")
-    n = u.shape[0]
-    num = 2.0 * s2 * R.inv_matrix @ u - s1 * np.eye(n)
+    s1, s2 = stack[:, 0, None, None], stack[:, 1, None, None]
+    num = 2.0 * s2 * (R.inv_matrix @ u) - s1 * np.eye(u.shape[0])
     try:
-        res = linalg.inverse(2.0 * R.matrix - s1 * u)
+        fracs = num @ linalg.inverse(2.0 * R.matrix - s1 * u)
     except SingularMatrix as exc:
-        raise NotInvertible(f"resolvent factor singular at ({s1}, {s2}): {exc}") from exc
-    return num @ res
+        raise NotInvertible(f"resolvent factor singular in r.G for r={R.r}: {exc}") from exc
+    return fracs[0] if pts.shape == (2,) else fracs
 
 
 def s_T(q, T: np.ndarray) -> np.ndarray:

@@ -119,8 +119,7 @@ def factorization_residual(ctx: KernelContext, s: Sequence[complex], t: Sequence
     urinv = ctx.U @ ctx.R.inv_matrix
     a_s = 2.0 * eye - s1 * urinv
     a_t = 2.0 * eye - t1 * urinv
-    frac_s = s_UR(s, ctx.U, ctx.R)
-    frac_t = s_UR(t, ctx.U, ctx.R)
+    frac_s, frac_t = s_UR([s, t], ctx.U, ctx.R)
     rhs = 0.5 * a_t.conj().T @ (eye - frac_t.conj().T @ frac_s) @ a_s
     return linalg.spectral_norm(y - rhs)
 

@@ -53,23 +53,27 @@ def as_vector(x, name: str = "vector") -> np.ndarray:
 
 
 def inverse(m, rcond: float = RCOND) -> np.ndarray:
-    """Invert a square matrix, refusing numerically singular input.
+    """Invert a square matrix, or each matrix of a ``(..., n, n)`` stack.
 
     Raises
     ------
     SingularMatrix
-        If the smallest singular value is below ``rcond`` times the largest
-        (the zero matrix counts as singular).
+        If, for some matrix, the smallest singular value is below ``rcond``
+        times the largest (the zero matrix counts as singular).  The whole
+        stack is tested, by one batched SVD, before anything is inverted.
     """
-    a = _as_square(m, "inverse operand")
-    if a.shape[0] == 0:
+    a = np.asarray(m, dtype=complex)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2] or not np.all(np.isfinite(a)):
+        raise ShapeMismatch(f"inverse operand must be square and finite, got shape {a.shape}")
+    if a.size == 0:
         return a.copy()
-    svals = np.linalg.svd(a, compute_uv=False)
-    smax = float(svals[0])
-    smin = float(svals[-1])
-    if smax == 0.0 or smin < rcond * smax:
+    svals = np.linalg.svd(a, compute_uv=False).reshape(-1, a.shape[-1])
+    bad = (svals[:, 0] == 0.0) | (svals[:, -1] < rcond * svals[:, 0])
+    if bad.any():
+        k = int(np.argmax(bad))
         raise SingularMatrix(
-            f"smallest singular value {smin:.3e} below {rcond:.1e} * norm {smax:.3e}"
+            f"smallest singular value {svals[k, -1]:.3e} below {rcond:.1e} * norm "
+            f"{svals[k, 0]:.3e}" + (f" (matrix {k} of the stack)" if a.ndim > 2 else "")
         )
     return np.linalg.inv(a)
 

@@ -8,12 +8,14 @@ and f then satisfies the model identity
 
     1 - conj(f(t)) f(s) = < (1 - t_{U,R}* s_{U,R}) u(s), u(t) >
 
-for all s, t in r.G, which in particular bounds |f| by 1.  Conversely,
-:func:`realization_from_model` recovers a colligation from any model
-(u_eval, f_eval) satisfying that identity, by completing the partial
-isometry that sends [1; s_{U,R} u(s)] to [f(s); u(s)] across a family of
-sample points.  On a grid of points the identity is the equality of the
-Gramians of those two families, built by :func:`model_families`.
+for all s, t in r.G, which in particular bounds |f| by 1.  :func:`evaluate`
+solves a whole stack of points at once; the one-point functions are views
+of it.  Conversely, :func:`realization_from_model` recovers a colligation
+from any model (u_eval, f_eval) satisfying that identity, by completing
+the partial isometry that sends [1; s_{U,R} u(s)] to [f(s); u(s)] across a
+family of sample points.  On a grid of points the identity is the equality
+of the Gramians of those two families, built by :func:`evaluate` and
+:func:`model_families`.
 """
 
 from __future__ import annotations
@@ -48,34 +50,42 @@ class GrModel:
     f_eval: ScalarEvaluator
 
 
+def _families(su: np.ndarray, u: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Columns [1; s_{U,R} u] and [f; u] from rows su, u (N, dim) and f (N,)."""
+    return np.vstack([np.ones((1, len(f))), su.T]), np.vstack([f[None, :], u.T])
+
+
+def evaluate(c: Colligation, pts) -> tuple[np.ndarray, np.ndarray]:
+    """The families A = [1; s_{U,R} u(s)] and B = [f(s); u(s)] at N points.
+
+    One column per point of ``pts`` (shape (N, 2)); row 0 of B is f, its
+    other rows are u.  Entry (i, j) of Gram(A) - Gram(B) is the model
+    identity defect at (s, t) = (s_j, s_i): ``linalg.gram_gap`` of the two
+    is the worst :func:`model_residual` over all pairs.
+    """
+    frac = s_UR(pts, c.U, c.R).reshape(-1, c.dim, c.dim)
+    try:
+        u = np.linalg.solve(np.eye(c.dim) - c.D @ frac, c.gamma)
+    except np.linalg.LinAlgError as exc:  # ||D s_{U,R}|| < 1 in-domain
+        raise NotInvertible("1 - D s_UR singular at a point of the stack") from exc
+    su = (frac @ u[:, :, None])[:, :, 0]
+    return _families(su, u, c.a + su @ c.beta.conj())
+
+
 def eval_u(c: Colligation, s) -> np.ndarray:
     """The model map u(s) = (1 - D s_{U,R})^{-1} gamma of a colligation."""
-    frac = s_UR(s, c.U, c.R)
-    eye = np.eye(c.dim)
-    try:
-        return np.linalg.solve(eye - c.D @ frac, c.gamma)
-    except np.linalg.LinAlgError as exc:  # ||D s_{U,R}|| < 1 in-domain
-        raise NotInvertible(f"1 - D s_UR singular at {tuple(s)}") from exc
+    return evaluate(c, [s])[1][1:, 0]
 
 
 def eval_f(c: Colligation, s) -> complex:
     """The realized function a + <s_{U,R} u(s), beta>."""
-    frac = s_UR(s, c.U, c.R)
-    return c.a + complex(np.vdot(c.beta, frac @ eval_u(c, s)))
+    return complex(evaluate(c, [s])[1][0, 0])
 
 
 def model_residual(c: Colligation, s, t) -> float:
     """Defect of the model identity at the ordered pair (s, t)."""
-    frac_s = s_UR(s, c.U, c.R)
-    frac_t = s_UR(t, c.U, c.R)
-    u_s = eval_u(c, s)
-    u_t = eval_u(c, t)
-    f_s = eval_f(c, s)
-    f_t = eval_f(c, t)
-    eye = np.eye(c.dim)
-    lhs = 1.0 - f_t.conjugate() * f_s
-    rhs = np.vdot(u_t, (eye - frac_t.conj().T @ frac_s) @ u_s)
-    return abs(lhs - rhs)
+    a_fam, b_fam = evaluate(c, [s, t])
+    return abs(np.vdot(a_fam[:, 1], a_fam[:, 0]) - np.vdot(b_fam[:, 1], b_fam[:, 0]))
 
 
 @dataclass(frozen=True)
@@ -98,11 +108,10 @@ def schur_certify(
 
     With n = 0 the report passes vacuously.
     """
-    max_abs = 0.0
-    max_diag = 0.0
-    for s in sample_rG(n, c.r, seed):
-        max_abs = max(max_abs, abs(eval_f(c, s)))
-        max_diag = max(max_diag, model_residual(c, s, s))
+    a_fam, b_fam = evaluate(c, sample_rG(n, c.r, seed))
+    diag = np.abs(np.sum(np.abs(a_fam) ** 2, axis=0) - np.sum(np.abs(b_fam) ** 2, axis=0))
+    max_abs = float(np.max(np.abs(b_fam[0]), initial=0.0))
+    max_diag = float(np.max(diag, initial=0.0))
     passed = (max_abs <= 1.0 + tol) and (max_diag <= residual_tol)
     return CertReport(
         n=n, seed=seed, max_abs_f=max_abs, max_diag_residual=max_diag, passed=passed
@@ -110,21 +119,11 @@ def schur_certify(
 
 
 def model_families(m: GrModel, pts: Sequence[Point2]) -> tuple[np.ndarray, np.ndarray]:
-    """The families [1; s_{U,R} u(s)] and [f(s); u(s)] over the points, as columns.
-
-    Entry (i, j) of Gram(A) - Gram(B) is the model identity defect at the
-    pair (s, t) = (s_j, s_i), so ``linalg.gram_gap`` of the two families is
-    the worst :func:`model_residual` over all pairs of points.
-    """
-    a_fam = np.zeros((1 + m.dim, len(pts)), dtype=complex)
-    b_fam = np.zeros_like(a_fam)
-    for k, s in enumerate(pts):
-        u = linalg.as_vector(m.u_eval(s), "u(s)")
-        a_fam[0, k] = 1.0
-        a_fam[1:, k] = s_UR(s, m.U, m.R) @ u
-        b_fam[0, k] = m.f_eval(s)
-        b_fam[1:, k] = u
-    return a_fam, b_fam
+    """The families of :func:`evaluate` for a model; u and f from its evaluators."""
+    frac = s_UR(pts, m.U, m.R)
+    u = np.array([linalg.as_vector(m.u_eval(s), "u(s)") for s in pts]).reshape(len(pts), m.dim)
+    f = np.array([m.f_eval(s) for s in pts], dtype=complex)
+    return _families((frac @ u[:, :, None])[:, :, 0], u, f)
 
 
 def realization_from_model(

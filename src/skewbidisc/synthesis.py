@@ -36,6 +36,7 @@ from .domains import (
     in_rG,
     in_skew_bidisc,
     quad_roots,
+    sample_skew_bidisc,
     sigma,
 )
 from .errors import (
@@ -219,9 +220,7 @@ def synthesize(
     are then stacked over the sample points and the partial isometry
     between them is completed to the unitary U.
 
-    Raises InsufficientSamples when fewer than 2 (d1 + d2) points are given
-    or when the sampled span might still grow (numerical rank equals the
-    sample count).
+    Raises InsufficientSamples when fewer than 2 (d1 + d2) points are given.
     """
     pts = [
         (complex(p[0]), complex(p[1]))
@@ -234,8 +233,6 @@ def synthesize(
     for p in pts:
         if not in_skew_bidisc(p, spec.r, margin=0.0):
             raise OutsideDomain(f"sample point {p} is not in rD x D")
-    from .domains import sample_skew_bidisc
-
     grid = sample_skew_bidisc(VALIDATION_GRID_SIZE, spec.r, VALIDATION_SEED)
     max_sym, max_model = _spec_precheck(spec, pts + grid)
     if max_sym > tol:
@@ -254,10 +251,6 @@ def synthesize(
     r_op = build_R(split, spec.r)
     a_mat, b_mat = _gram_families(spec, pts, r_op.inv_matrix)
     isom = linalg.isometry_from_gramians(a_mat, b_mat, tol)
-    if isom.rank == len(pts):
-        raise InsufficientSamples(
-            f"sampled span rank {isom.rank} equals the sample count; add points"
-        )
     u = linalg.unitary_extension(isom, spec.dim)
     agree = 0.0
     for i in range(a_mat.shape[1]):

@@ -74,6 +74,7 @@ def test_synthesize_command_writes_colligation(capsys, spec_file, tmp_path):
     assert code == 0
     names = [chk[0] for chk in report["checks"]]
     assert "kernel_z_identity" in names and "roundtrip_f" in names
+    assert report["sample_count"] == 4 * 2 + 4  # synthesize's own points, dim 2
     # The extracted colligation must itself pass validation end to end.
     code2, report2 = _run_json(capsys, ["validate", "--input", str(out_path), "--tol", "1e-8"])
     assert code2 == 0, report2
@@ -139,6 +140,9 @@ def test_exit_code_2_on_config_errors(capsys, colligation_file):
     assert run(["certify", "--input", str(colligation_file), "--r", "1.5"]) == 2
     assert run(["kernel-check", "--dims", "2"]) == 2
     assert run(["validate"]) == 2  # missing --input
+    assert run(["sample", "--seed", "-1"]) == 2
+    assert run(["catalog", "--name", "rank-one", "--seed", "-1"]) == 2
+    assert run(["kernel-check", "--seed", "-1"]) == 2
     capsys.readouterr()
 
 

@@ -1,7 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
-from skewbidisc import domains
+from skewbidisc import domains, linalg
 from skewbidisc.colligation import (
     Colligation,
     SubspaceSplit,
@@ -13,8 +15,16 @@ from skewbidisc.colligation import (
     s_UR_bound,
     validate_colligation,
 )
-from skewbidisc.errors import InvalidParams, OutsideDomain, ShapeMismatch
+from skewbidisc.errors import (
+    InvalidParams,
+    NotInvertible,
+    OutsideDomain,
+    ShapeMismatch,
+    SingularMatrix,
+)
 from skewbidisc.linalg import haar_unitary, spectral_norm
+
+DIFF_TOL = 1e-13
 
 
 def test_subspace_split():
@@ -32,6 +42,7 @@ def test_build_R_frozen():
     R = build_R(SubspaceSplit(1, 2), 0.5)
     np.testing.assert_allclose(R.matrix, np.diag([1.0, 0.5, 0.5]))
     np.testing.assert_allclose(R.inv_matrix, np.diag([1.0, 2.0, 2.0]))
+    assert R.inv_matrix is R.inv_matrix and not R.inv_matrix.flags.writeable
 
 
 def test_build_R_rejects_bad_input():
@@ -70,6 +81,58 @@ def test_s_UR_shape_mismatch():
     R = build_R(SubspaceSplit(1, 1), 0.5)
     with pytest.raises(ShapeMismatch):
         s_UR((0.1, 0.01), np.eye(3, dtype=complex), R)
+
+
+def _s_UR_reference(s, U, R):
+    """The one-point fraction written out, as before stacking."""
+    s1, s2 = complex(s[0]), complex(s[1])
+    num = 2.0 * s2 * R.inv_matrix @ U - s1 * np.eye(U.shape[0])
+    return num @ linalg.inverse(2.0 * R.matrix - s1 * U)
+
+
+@pytest.mark.parametrize("dims", [(1, 1), (2, 3), (8, 8)])
+@pytest.mark.parametrize("r", [1e-3, 0.5, 0.999])
+def test_stacked_s_UR_matches_one_point_formula(dims, r):
+    R = build_R(SubspaceSplit(*dims), r)
+    U = haar_unitary(R.matrix.shape[0], 40)
+    pts = domains.sample_rG(40, r, seed=41)
+    stack = s_UR(pts, U, R)
+    assert stack.shape == (40,) + U.shape
+    worst = max(np.max(np.abs(stack[k] - _s_UR_reference(s, U, R))) for k, s in enumerate(pts))
+    assert worst <= DIFF_TOL
+    np.testing.assert_array_equal(s_UR(pts[7], U, R), s_UR(pts[7:8], U, R)[0])
+    assert s_UR([], U, R).shape == (0,) + U.shape
+
+
+def test_s_UR_stack_names_the_point_outside_the_domain():
+    r = 0.5
+    R = build_R(SubspaceSplit(2, 3), r)
+    pts = domains.sample_rG(5, r, seed=42)
+    pts[3] = (complex(2 * r, 0.25), complex(r * r))
+    with pytest.raises(OutsideDomain, match=re.escape(f"({pts[3][0]}, {pts[3][1]})")):
+        s_UR(pts, haar_unitary(5, 43), R)
+
+
+def test_s_UR_rejects_malformed_point_stacks():
+    R = build_R(SubspaceSplit(1, 1), 0.5)
+    for bad in ([0.1, 0.01, 0.0], [[0.1, 0.01, 0.0]] * 2, np.zeros((2, 2, 2))):
+        with pytest.raises(ShapeMismatch):
+            s_UR(bad, np.eye(2, dtype=complex), R)
+
+
+def test_singular_member_of_a_stack_is_refused():
+    stack = np.array([np.eye(2), np.zeros((2, 2)), np.eye(2)], dtype=complex)
+    with pytest.raises(SingularMatrix, match="matrix 1 of the stack"):
+        linalg.inverse(stack)
+    # With U = diag(2 / s1, 0) the resolvent factor 2 R - s1 U loses its
+    # first diagonal entry exactly at s, and only there.
+    r = 0.5
+    R = build_R(SubspaceSplit(1, 1), r)
+    pts = domains.sample_rG(3, r, seed=44)
+    U = np.diag([2.0 / pts[1][0], 0.0])
+    assert s_UR([pts[0], pts[2]], U, R).shape == (2, 2, 2)
+    with pytest.raises(NotInvertible, match="matrix 1 of the stack"):
+        s_UR(pts, U, R)
 
 
 def test_s_T_zero_operator():

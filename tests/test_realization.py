@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from skewbidisc import domains
+from skewbidisc import domains, linalg
 from skewbidisc.catalog import magic_params, rank_one_build, upsilon_params
 from skewbidisc.colligation import (
     Colligation,
     SubspaceSplit,
     random_colligation,
+    s_UR,
     validate_colligation,
 )
 from skewbidisc.errors import (
@@ -20,6 +21,7 @@ from skewbidisc.realization import (
     RealizedFunction,
     eval_f,
     eval_u,
+    evaluate,
     model_residual,
     realization_from_model,
     scaled_model_residual,
@@ -28,6 +30,30 @@ from skewbidisc.realization import (
 
 R_DEFAULT = 0.5
 OMEGA = np.exp(0.9j)
+DIFF_TOL = 1e-13
+
+
+# The one-point formulas written out, as before stacking; the stacked path
+# is compared against them.
+def _frac_reference(c, s):
+    s1, s2 = complex(s[0]), complex(s[1])
+    num = 2.0 * s2 * c.R.inv_matrix @ c.U - s1 * np.eye(c.dim)
+    return num @ linalg.inverse(2.0 * c.R.matrix - s1 * c.U)
+
+
+def _u_reference(c, s):
+    return np.linalg.solve(np.eye(c.dim) - c.D @ _frac_reference(c, s), c.gamma)
+
+
+def _f_reference(c, s):
+    return c.a + complex(np.vdot(c.beta, _frac_reference(c, s) @ _u_reference(c, s)))
+
+
+def _model_residual_reference(c, s, t):
+    frac_s, frac_t = _frac_reference(c, s), _frac_reference(c, t)
+    u_s, u_t = _u_reference(c, s), _u_reference(c, t)
+    lhs = 1.0 - _f_reference(c, t).conjugate() * _f_reference(c, s)
+    return abs(lhs - np.vdot(u_t, (np.eye(c.dim) - frac_t.conj().T @ frac_s) @ u_s))
 
 
 def test_eval_u_constant_for_scaled_fraction_entry():
@@ -57,6 +83,77 @@ def test_model_residual_vanishes_for_valid_colligations(split):
     pts = domains.sample_rG(40, R_DEFAULT, seed=5)
     worst = max(model_residual(c, s, t) for s, t in zip(pts[:20], pts[20:]))
     assert worst < 1e-12
+
+
+@pytest.mark.parametrize("dims", [(1, 1), (2, 3), (8, 8)])
+@pytest.mark.parametrize("r", [1e-3, 0.5, 0.999])
+def test_stacked_evaluation_matches_one_point_formulas(dims, r):
+    c = random_colligation(SubspaceSplit(*dims), r, seed=50)
+    c.a += 0.05  # off the model identity, so the residuals are not all roundoff
+    pts = domains.sample_rG(30, r, seed=51)
+    a_fam, b_fam = evaluate(c, pts)
+    assert a_fam.shape == b_fam.shape == (1 + c.dim, 30)
+    for k, s in enumerate(pts):
+        assert np.max(np.abs(b_fam[1:, k] - _u_reference(c, s))) <= DIFF_TOL
+        assert abs(b_fam[0, k] - _f_reference(c, s)) <= DIFF_TOL
+        su_ref = _frac_reference(c, s) @ _u_reference(c, s)
+        assert np.max(np.abs(a_fam[1:, k] - su_ref)) <= DIFF_TOL
+        assert np.max(np.abs(eval_u(c, s) - _u_reference(c, s))) <= DIFF_TOL
+        assert abs(eval_f(c, s) - _f_reference(c, s)) <= DIFF_TOL
+    pairs = list(zip(pts[:10], pts[10:20])) + [(s, s) for s in pts[20:]]
+    for s, t in pairs:
+        assert abs(model_residual(c, s, t) - _model_residual_reference(c, s, t)) <= DIFF_TOL
+    report = schur_certify(c, 30, seed=51)
+    assert abs(report.max_abs_f - max(abs(_f_reference(c, s)) for s in pts)) <= DIFF_TOL
+    ref_diag = max(_model_residual_reference(c, s, s) for s in pts)
+    assert abs(report.max_diag_residual - ref_diag) <= DIFF_TOL
+    ref_pairs = max(_model_residual_reference(c, s, t) for s in pts[:8] for t in pts[:8])
+    assert abs(linalg.gram_gap(*evaluate(c, pts[:8])) - ref_pairs) <= DIFF_TOL
+
+
+def test_stacked_evaluation_of_no_points():
+    c = random_colligation(SubspaceSplit(2, 3), R_DEFAULT, seed=52)
+    a_fam, b_fam = evaluate(c, [])
+    assert a_fam.shape == b_fam.shape == (1 + c.dim, 0)
+    assert linalg.gram_gap(a_fam, b_fam) == 0.0
+    report = schur_certify(c, 0, seed=0)
+    assert report.passed and report.max_abs_f == report.max_diag_residual == 0.0
+
+
+def test_stacked_evaluation_names_the_point_outside_the_domain():
+    c = random_colligation(SubspaceSplit(2, 3), R_DEFAULT, seed=53)
+    pts = domains.sample_rG(4, R_DEFAULT, seed=54)
+    pts[2] = (complex(0.0, 0.9), complex(0.3))
+    with pytest.raises(OutsideDomain, match=r"point \(0\.9j, \(0\.3\+0j\)\)"):
+        evaluate(c, pts)
+
+
+@pytest.mark.parametrize("r", [1e-3, 0.5, 0.999])
+def test_stacked_evaluation_against_50_digit_oracle(r):
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp.clone()
+    mp.dps = 50
+    c = random_colligation(SubspaceSplit(2, 3), r, seed=55)
+    pts = domains.sample_rG(4, r, seed=56)
+    fracs = s_UR(pts, c.U, c.R)
+    f_vals = evaluate(c, pts)[1][0]
+
+    def mat(a):
+        return mp.matrix([[mp.mpc(complex(x)) for x in row] for row in a])
+
+    n = c.dim
+    eye = mp.eye(n)
+    u_op, r_op, d_op = mat(c.U), mat(c.R.matrix), mat(c.D)
+    r_inv = mp.diag([1 / r_op[i, i] for i in range(n)])
+    gamma = mat(c.gamma[:, None])
+    for k, (s1, s2) in enumerate(pts):
+        s1, s2 = mp.mpc(complex(s1)), mp.mpc(complex(s2))
+        frac = (2 * s2 * r_inv * u_op - s1 * eye) * mp.inverse(2 * r_op - s1 * u_op)
+        su = frac * mp.lu_solve(eye - d_op * frac, gamma)
+        f = mp.mpc(c.a) + mp.fsum(su[i] * mp.conj(mp.mpc(complex(c.beta[i]))) for i in range(n))
+        frac_gap = max(abs(complex(frac[i, j]) - fracs[k, i, j]) for i in range(n) for j in range(n))
+        assert frac_gap <= 1e-12
+        assert abs(complex(f) - f_vals[k]) <= 1e-12
 
 
 def test_schur_certify_vacuous_and_valid():
