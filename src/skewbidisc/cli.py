@@ -21,7 +21,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -88,17 +88,6 @@ class Report:
     seed: int
     sample_count: int
     elapsed_ms: float = field(default=0.0)
-
-    def to_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "passed": self.passed,
-            "max_residual": self.max_residual,
-            "checks": [[n, r, t] for (n, r, t) in self.checks],
-            "seed": self.seed,
-            "sample_count": self.sample_count,
-            "elapsed_ms": self.elapsed_ms,
-        }
 
 
 def _finish(command: str, checks: list[tuple[str, float, float]], seed: int,
@@ -330,7 +319,7 @@ def run(argv: Sequence[str] | None = None) -> int:
     except SkewBidiscError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    print(json.dumps(report.to_dict(), indent=2))
+    print(json.dumps(asdict(report), indent=2))
     return 0 if report.passed else 1
 
 

@@ -187,7 +187,8 @@ def s_UR(s, U: np.ndarray, R: ROperator) -> np.ndarray:
     try:
         fracs = num @ linalg.inverse(2.0 * R.matrix - s1 * u)
     except SingularMatrix as exc:
-        raise NotInvertible(f"resolvent factor singular in r.G for r={R.r}: {exc}") from exc
+        s1, s2 = stack[exc.index].tolist()
+        raise NotInvertible(f"resolvent factor singular at ({s1}, {s2}) in r.G: {exc}") from exc
     return fracs[0] if pts.shape == (2,) else fracs
 
 

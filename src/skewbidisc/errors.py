@@ -14,7 +14,15 @@ class SkewBidiscError(Exception):
 
 
 class SingularMatrix(SkewBidiscError):
-    """Matrix inversion was requested for a numerically singular matrix."""
+    """Matrix inversion was requested for a numerically singular matrix.
+
+    ``index`` is the flat position of the first singular matrix of a stack
+    (0 for a single matrix), so callers can name the input that caused it.
+    """
+
+    def __init__(self, message: str, index: int = 0):
+        super().__init__(message)
+        self.index = index
 
 
 class NotInvertible(SkewBidiscError):

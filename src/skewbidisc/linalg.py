@@ -28,18 +28,19 @@ TOL_UNITARY = 1e-12
 RCOND = 1e-12
 
 
-def _as_matrix(m, name: str = "matrix") -> np.ndarray:
+def _as_matrix(m, name: str = "matrix", stack: bool = False) -> np.ndarray:
+    """Finite complex matrix; with ``stack``, a ``(..., rows, cols)`` stack of them."""
     a = np.asarray(m, dtype=complex)
-    if a.ndim != 2:
+    if a.ndim != 2 and not (stack and a.ndim > 2):
         raise ShapeMismatch(f"{name} must be 2-dimensional, got ndim={a.ndim}")
     if a.size and not np.all(np.isfinite(a)):
         raise ShapeMismatch(f"{name} contains non-finite entries")
     return a
 
 
-def _as_square(m, name: str = "matrix") -> np.ndarray:
-    a = _as_matrix(m, name)
-    if a.shape[0] != a.shape[1]:
+def _as_square(m, name: str = "matrix", stack: bool = False) -> np.ndarray:
+    a = _as_matrix(m, name, stack)
+    if a.shape[-1] != a.shape[-2]:
         raise ShapeMismatch(f"{name} must be square, got shape {a.shape}")
     return a
 
@@ -62,9 +63,7 @@ def inverse(m, rcond: float = RCOND) -> np.ndarray:
         times the largest (the zero matrix counts as singular).  The whole
         stack is tested, by one batched SVD, before anything is inverted.
     """
-    a = np.asarray(m, dtype=complex)
-    if a.ndim < 2 or a.shape[-1] != a.shape[-2] or not np.all(np.isfinite(a)):
-        raise ShapeMismatch(f"inverse operand must be square and finite, got shape {a.shape}")
+    a = _as_square(m, "inverse operand", stack=True)
     if a.size == 0:
         return a.copy()
     svals = np.linalg.svd(a, compute_uv=False).reshape(-1, a.shape[-1])
@@ -73,7 +72,8 @@ def inverse(m, rcond: float = RCOND) -> np.ndarray:
         k = int(np.argmax(bad))
         raise SingularMatrix(
             f"smallest singular value {svals[k, -1]:.3e} below {rcond:.1e} * norm "
-            f"{svals[k, 0]:.3e}" + (f" (matrix {k} of the stack)" if a.ndim > 2 else "")
+            f"{svals[k, 0]:.3e}" + (f" (matrix {k} of the stack)" if a.ndim > 2 else ""),
+            index=k,
         )
     return np.linalg.inv(a)
 

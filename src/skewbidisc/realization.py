@@ -28,7 +28,10 @@ import numpy as np
 from . import linalg
 from .colligation import Colligation, ROperator, s_T, s_UR, validate_colligation
 from .domains import Point2, check_r, in_rG, sample_rG
-from .errors import InsufficientSamples, InvalidParams, NotInvertible, OutsideDomain
+from .errors import InsufficientSamples, InvalidParams, NotInvertible, OutsideDomain, ShapeMismatch
+
+# Matrix entries per working stack of :func:`evaluate` (1 MB of complex128).
+BLOCK_ENTRIES = 1 << 16
 
 Evaluator = Callable[[Sequence[complex]], np.ndarray]
 ScalarEvaluator = Callable[[Sequence[complex]], complex]
@@ -50,26 +53,33 @@ class GrModel:
     f_eval: ScalarEvaluator
 
 
-def _families(su: np.ndarray, u: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Columns [1; s_{U,R} u] and [f; u] from rows su, u (N, dim) and f (N,)."""
-    return np.vstack([np.ones((1, len(f))), su.T]), np.vstack([f[None, :], u.T])
-
-
 def evaluate(c: Colligation, pts) -> tuple[np.ndarray, np.ndarray]:
     """The families A = [1; s_{U,R} u(s)] and B = [f(s); u(s)] at N points.
 
     One column per point of ``pts`` (shape (N, 2)); row 0 of B is f, its
     other rows are u.  Entry (i, j) of Gram(A) - Gram(B) is the model
     identity defect at (s, t) = (s_j, s_i): ``linalg.gram_gap`` of the two
-    is the worst :func:`model_residual` over all pairs.
+    is the worst :func:`model_residual` over all pairs.  The points are
+    solved in blocks of at most ``BLOCK_ENTRIES / dim^2``, so the (N, n, n)
+    working stacks stay a few MB however many points are asked for.
     """
-    frac = s_UR(pts, c.U, c.R).reshape(-1, c.dim, c.dim)
-    try:
-        u = np.linalg.solve(np.eye(c.dim) - c.D @ frac, c.gamma)
-    except np.linalg.LinAlgError as exc:  # ||D s_{U,R}|| < 1 in-domain
-        raise NotInvertible("1 - D s_UR singular at a point of the stack") from exc
-    su = (frac @ u[:, :, None])[:, :, 0]
-    return _families(su, u, c.a + su @ c.beta.conj())
+    pts = np.asarray(pts, dtype=complex)
+    if pts.size and pts.ndim != 2:
+        raise ShapeMismatch(f"points must have shape (N, 2), got {pts.shape}")
+    a_fam = np.ones((1 + c.dim, len(pts)), dtype=complex)
+    b_fam = np.empty_like(a_fam)
+    step = max(1, BLOCK_ENTRIES // c.dim**2)
+    for k in range(0, len(pts), step):
+        frac = s_UR(pts[k : k + step], c.U, c.R)
+        gamma = np.broadcast_to(c.gamma[:, None], (len(frac), c.dim, 1))
+        try:
+            u = np.linalg.solve(np.eye(c.dim) - c.D @ frac, gamma)
+        except np.linalg.LinAlgError as exc:  # ||D s_{U,R}|| < 1 in-domain
+            raise NotInvertible("1 - D s_UR singular at a point of the stack") from exc
+        a_fam[1:, k : k + step] = (frac @ u)[:, :, 0].T
+        b_fam[1:, k : k + step] = u[:, :, 0].T
+    b_fam[0] = c.a + c.beta.conj() @ a_fam[1:]
+    return a_fam, b_fam
 
 
 def eval_u(c: Colligation, s) -> np.ndarray:
@@ -123,7 +133,8 @@ def model_families(m: GrModel, pts: Sequence[Point2]) -> tuple[np.ndarray, np.nd
     frac = s_UR(pts, m.U, m.R)
     u = np.array([linalg.as_vector(m.u_eval(s), "u(s)") for s in pts]).reshape(len(pts), m.dim)
     f = np.array([m.f_eval(s) for s in pts], dtype=complex)
-    return _families((frac @ u[:, :, None])[:, :, 0], u, f)
+    su = (frac @ u[:, :, None])[:, :, 0]
+    return np.vstack([np.ones((1, len(pts))), su.T]), np.vstack([f[None, :], u.T])
 
 
 def realization_from_model(

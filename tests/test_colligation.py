@@ -122,8 +122,12 @@ def test_s_UR_rejects_malformed_point_stacks():
 
 def test_singular_member_of_a_stack_is_refused():
     stack = np.array([np.eye(2), np.zeros((2, 2)), np.eye(2)], dtype=complex)
-    with pytest.raises(SingularMatrix, match="matrix 1 of the stack"):
+    with pytest.raises(SingularMatrix, match="matrix 1 of the stack") as info:
         linalg.inverse(stack)
+    assert info.value.index == 1
+    for bad in (np.ones(2), np.ones((3, 2, 3)), np.array([[[np.nan]]])):
+        with pytest.raises(ShapeMismatch):
+            linalg.inverse(bad)
     # With U = diag(2 / s1, 0) the resolvent factor 2 R - s1 U loses its
     # first diagonal entry exactly at s, and only there.
     r = 0.5
@@ -131,8 +135,11 @@ def test_singular_member_of_a_stack_is_refused():
     pts = domains.sample_rG(3, r, seed=44)
     U = np.diag([2.0 / pts[1][0], 0.0])
     assert s_UR([pts[0], pts[2]], U, R).shape == (2, 2, 2)
-    with pytest.raises(NotInvertible, match="matrix 1 of the stack"):
+    named = re.escape(f"at ({complex(pts[1][0])}, {complex(pts[1][1])})")
+    with pytest.raises(NotInvertible, match=named + ".*matrix 1 of the stack"):
         s_UR(pts, U, R)
+    with pytest.raises(NotInvertible, match=named):
+        s_UR(pts[1], U, R)
 
 
 def test_s_T_zero_operator():

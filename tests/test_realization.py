@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from skewbidisc import domains, linalg
+from skewbidisc import domains, linalg, realization
 from skewbidisc.catalog import magic_params, rank_one_build, upsilon_params
 from skewbidisc.colligation import (
     Colligation,
@@ -15,6 +15,7 @@ from skewbidisc.errors import (
     InsufficientSamples,
     InvalidParams,
     OutsideDomain,
+    ShapeMismatch,
 )
 from skewbidisc.realization import (
     GrModel,
@@ -118,6 +119,47 @@ def test_stacked_evaluation_of_no_points():
     assert linalg.gram_gap(a_fam, b_fam) == 0.0
     report = schur_certify(c, 0, seed=0)
     assert report.passed and report.max_abs_f == report.max_diag_residual == 0.0
+
+
+def test_stacked_evaluation_in_blocks_matches_one_block(monkeypatch):
+    c = random_colligation(SubspaceSplit(2, 3), R_DEFAULT, seed=57)
+    pts = domains.sample_rG(23, R_DEFAULT, seed=58)
+    whole = evaluate(c, pts)
+    monkeypatch.setattr(realization, "BLOCK_ENTRIES", 5 * c.dim**2)
+    for fam, ref in zip(evaluate(c, pts), whole):
+        assert fam.shape == ref.shape and np.max(np.abs(fam - ref)) <= DIFF_TOL
+    monkeypatch.setattr(realization, "BLOCK_ENTRIES", 1)
+    assert np.max(np.abs(evaluate(c, pts)[1] - whole[1])) <= DIFF_TOL
+
+
+def test_stacked_evaluation_under_numpy_1_solve_rules(monkeypatch):
+    # numpy < 2 reads b as a stack of vectors only when b.ndim == a.ndim - 1
+    # and otherwise needs b.ndim >= 2; evaluate must not rely on numpy 2's
+    # broadcasting of a 1-d b across a stack.
+    solve = np.linalg.solve
+
+    def solve_numpy1(a, b):
+        a, b = np.asarray(a), np.asarray(b)
+        if b.ndim == a.ndim - 1:
+            return solve(a, b[..., None])[..., 0]
+        if b.ndim < 2:
+            raise ValueError("Input operand 1 does not have enough dimensions")
+        return solve(a, b)
+
+    c = random_colligation(SubspaceSplit(2, 3), R_DEFAULT, seed=59)
+    pts = domains.sample_rG(6, R_DEFAULT, seed=60)
+    whole = evaluate(c, pts)
+    monkeypatch.setattr(np.linalg, "solve", solve_numpy1)
+    assert np.max(np.abs(evaluate(c, pts)[1] - whole[1])) <= DIFF_TOL
+    assert abs(eval_f(c, pts[0]) - whole[1][0, 0]) <= DIFF_TOL
+
+
+def test_stacked_evaluation_takes_only_point_stacks():
+    c = random_colligation(SubspaceSplit(1, 1), R_DEFAULT, seed=61)
+    s = domains.sample_rG(1, R_DEFAULT, seed=62)[0]
+    for bad in (s, [s + (0.0,)], np.zeros((1, 2, 2))):
+        with pytest.raises(ShapeMismatch):
+            evaluate(c, bad)
 
 
 def test_stacked_evaluation_names_the_point_outside_the_domain():
