@@ -157,8 +157,6 @@ def catalog_campaign(p: RankOneParams, name: str, n: int, seed: int) -> CatalogC
         gap = max(gap, abs(val_closed - f))
         max_abs = max(max_abs, abs(val_closed))
         min_den = min(min_den, den)
-    if n == 0:
-        min_den = 0.0
     return CatalogCampaign(
         name=name, n=n, seed=seed, max_gap=gap, max_abs_f=max_abs, min_denominator=min_den
     )

@@ -59,10 +59,10 @@ DEFAULT_SEED = 0
 @dataclass(frozen=True)
 class RunConfig:
     command: str
+    tol: float
     r: float = DEFAULT_R
     samples: int = DEFAULT_SAMPLES
     seed: int = DEFAULT_SEED
-    tol: float = 1e-10
     input_path: str | None = None
     output_path: str | None = None
     name: str | None = None
@@ -194,28 +194,23 @@ def cmd_kernel_check(cfg: RunConfig) -> Report:
     if d1 < 1 or d2 < 1:
         raise ConfigError(f"--dims must both be >= 1, got {d1},{d2}")
     r_op = build_R(SubspaceSplit(d1, d2), cfg.r)
-    max_fac = 0.0
-    max_sub = 0.0
-    max_herm = 0.0
     n_unitaries = 3
     per = max(cfg.samples // n_unitaries, 1) if cfg.samples else 0
+    residuals = {"factorization": [], "substitution": [], "hermitian_symmetry": []}
     for i in range(n_unitaries):
         ctx = KernelContext(linalg.haar_unitary(d1 + d2, cfg.seed + i), r_op)
         pairs_s = sample_rG(per, cfg.r, cfg.seed + 100 + i)
         pairs_t = sample_rG(per, cfg.r, cfg.seed + 200 + i)
-        for s, t in zip(pairs_s, pairs_t):
-            max_fac = max(max_fac, factorization_residual(ctx, s, t))
-            max_herm = max(max_herm, hermitian_symmetry_residual(ctx, s, t))
         lams = sample_skew_bidisc(per, cfg.r, cfg.seed + 300 + i)
         mus = sample_skew_bidisc(per, cfg.r, cfg.seed + 400 + i)
-        for lam, mu in zip(lams, mus):
-            max_sub = max(max_sub, substitution_residual(ctx, lam, mu))
+        residuals["factorization"].append(factorization_residual(ctx, pairs_s, pairs_t))
+        residuals["substitution"].append(substitution_residual(ctx, lams, mus))
+        residuals["hermitian_symmetry"].append(hermitian_symmetry_residual(ctx, pairs_s, pairs_t))
     checks = [
-        ("factorization", max_fac, cfg.tol),
-        ("substitution", max_sub, cfg.tol),
-        ("hermitian_symmetry", max_herm, cfg.tol),
+        (name, float(np.max(np.concatenate(res), initial=0.0)), cfg.tol)
+        for name, res in residuals.items()
     ]
-    return _finish("kernel-check", checks, cfg.seed, cfg.samples, started)
+    return _finish("kernel-check", checks, cfg.seed, n_unitaries * per, started)
 
 
 def cmd_catalog(cfg: RunConfig) -> Report:
@@ -257,16 +252,6 @@ _COMMANDS = {
     "sample": cmd_sample,
 }
 
-_TOL_DEFAULTS = {
-    "validate": 1e-10,
-    "certify": 1e-12,
-    "synthesize": 1e-10,
-    "kernel-check": 1e-10,
-    "catalog": 1e-10,
-    "sample": 1e-10,
-}
-
-
 def _parse_dims(text: str) -> tuple[int, int]:
     parts = text.split(",")
     if len(parts) != 2:
@@ -289,10 +274,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--r", type=float, default=DEFAULT_R)
         p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
         p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-        p.add_argument("--tol", type=float, default=None)
+        p.add_argument("--tol", type=float, default=1e-12 if name == "certify" else 1e-10)
         p.add_argument("--input", dest="input_path", default=None)
         p.add_argument("--output", dest="output_path", default=None)
-        p.add_argument("--name", default=None, choices=None)
+        p.add_argument("--name", default=None)
         p.add_argument("--dims", default="2,3")
     return parser
 
@@ -306,7 +291,7 @@ def run(argv: Sequence[str] | None = None) -> int:
             r=args.r,
             samples=args.samples,
             seed=args.seed,
-            tol=args.tol if args.tol is not None else _TOL_DEFAULTS[args.command],
+            tol=args.tol,
             input_path=args.input_path,
             output_path=args.output_path,
             name=args.name,

@@ -29,7 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import linalg
-from .domains import check_r, in_G, in_rG, scale_psi_inv
+from .domains import check_r, in_G, point_stack, scale_psi_inv
 from .errors import (
     InvalidParams,
     NotInvertible,
@@ -172,13 +172,7 @@ def s_UR(s, U: np.ndarray, R: ROperator) -> np.ndarray:
     NotInvertible if a resolvent factor fails, which for points of r.G
     indicates the input was corrupt rather than a true singularity.
     """
-    pts = np.asarray(s, dtype=complex)
-    if pts.size and (pts.ndim > 2 or pts.shape[-1:] != (2,)):
-        raise ShapeMismatch(f"points must have shape (2,) or (N, 2), got {pts.shape}")
-    stack = pts.reshape(-1, 2)
-    for s1, s2 in stack.tolist():
-        if not in_rG((s1, s2), R.r, margin=0.0):
-            raise OutsideDomain(f"point ({s1}, {s2}) is not in r.G for r={R.r}")
+    stack, one = point_stack(s, R.r)
     u = linalg._as_square(U, "U")
     if u.shape != R.matrix.shape:
         raise ShapeMismatch(f"U has shape {u.shape}, R has shape {R.matrix.shape}")
@@ -189,7 +183,7 @@ def s_UR(s, U: np.ndarray, R: ROperator) -> np.ndarray:
     except SingularMatrix as exc:
         s1, s2 = stack[exc.index].tolist()
         raise NotInvertible(f"resolvent factor singular at ({s1}, {s2}) in r.G: {exc}") from exc
-    return fracs[0] if pts.shape == (2,) else fracs
+    return fracs[0] if one else fracs
 
 
 def s_T(q, T: np.ndarray) -> np.ndarray:

@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DegenerateDenominator, NotUnimodular, OutsideDomain, PoleAtInput
+from .errors import DegenerateDenominator, NotUnimodular, OutsideDomain, PoleAtInput, ShapeMismatch
 
 Point2 = tuple[complex, complex]
 
@@ -133,6 +133,24 @@ def in_skew_bidisc(lam: Sequence[complex], r: float, margin: float = MEMBERSHIP_
     return abs(l1) < r * lim and abs(l2) < lim
 
 
+def point_stack(p, r: float, domain: str = "r.G") -> tuple[np.ndarray, bool]:
+    """One point (2,) or a stack (N, 2) as an (N, 2) complex array, every point checked.
+
+    ``domain`` is ``"r.G"`` or ``"rD x D"``, tested with margin 0.  Returns
+    the stack and whether ``p`` was a single point.  Raises ShapeMismatch
+    for any other shape and OutsideDomain naming the first point outside.
+    """
+    pts = np.asarray(p, dtype=complex)
+    if pts.size and (pts.ndim > 2 or pts.shape[-1:] != (2,)):
+        raise ShapeMismatch(f"points must have shape (2,) or (N, 2), got {pts.shape}")
+    stack = pts.reshape(-1, 2)
+    member = {"r.G": in_rG, "rD x D": in_skew_bidisc}[domain]
+    for z1, z2 in stack.tolist():
+        if not member((z1, z2), r, margin=0.0):
+            raise OutsideDomain(f"point ({z1}, {z2}) is not in {domain} for r={r}")
+    return stack, pts.shape == (2,)
+
+
 def _rng(seed: int) -> np.random.Generator:
     # Counter-based generator: cheap to seed, identical across platforms.
     return np.random.Generator(np.random.Philox(seed))
@@ -162,28 +180,24 @@ def sample_rG(n: int, r: float, seed: int) -> list[Point2]:
     produce the identical list.
     """
     check_r(r)
-    rng = _rng(seed)
-    pts: list[Point2] = []
-    while len(pts) < n:
-        batch = rng.uniform(-1.0, 1.0, size=(max(4 * (n - len(pts)), 32), 2))
-        discs = [complex(x, y) for x, y in batch if x * x + y * y < 1.0]
-        for a, b in zip(discs[0::2], discs[1::2]):
-            pts.append((r * (a + b), r * r * a * b))
-            if len(pts) == n:
-                break
-    return pts
+    return _sample_disc_pairs(n, seed, lambda a, b: (r * (a + b), r * r * a * b))
 
 
 def sample_skew_bidisc(n: int, r: float, seed: int) -> list[Point2]:
     """n seeded pseudo-random points of rD x D."""
     check_r(r)
+    return _sample_disc_pairs(n, seed, lambda a, b: (r * a, b))
+
+
+def _sample_disc_pairs(n: int, seed: int, to_point) -> list[Point2]:
+    """``to_point(a, b)`` for n seeded pairs (a, b) of points of the open unit disc."""
     rng = _rng(seed)
     pts: list[Point2] = []
     while len(pts) < n:
         batch = rng.uniform(-1.0, 1.0, size=(max(4 * (n - len(pts)), 32), 2))
         discs = [complex(x, y) for x, y in batch if x * x + y * y < 1.0]
         for a, b in zip(discs[0::2], discs[1::2]):
-            pts.append((r * a, b))
+            pts.append(to_point(a, b))
             if len(pts) == n:
                 break
     return pts
@@ -216,8 +230,7 @@ def upsilon(omega: complex, r: float, s: Sequence[complex]) -> complex:
     if abs(abs(omega) - 1.0) > 1e-12:
         raise NotUnimodular(f"|omega| = {abs(omega)!r} is not 1")
     check_r(r)
-    if not in_rG(s, r, margin=0.0):
-        raise OutsideDomain(f"point {tuple(s)} is not in r.G for r={r}")
+    point_stack(s, r)
     s1, s2 = _point(s)
     w = omega / r
     den = 1.0 - 0.5 * s1 * w

@@ -17,11 +17,14 @@ exactly; and Y factors through the fundamental fraction:
     Y(s, t) = (1/2) (2 - t1 U R^{-1})* (1 - t_{U,R}* s_{U,R}) (2 - s1 U R^{-1}).
 
 Both identities are exercised by :func:`substitution_residual` and
-:func:`factorization_residual`.
+:func:`factorization_residual`.  Like ``s_UR``, the kernels and the residuals
+take one pair of points, giving an (n, n) matrix or a float, or two (N, 2)
+stacks, giving the (N, n, n) or (N,) stack of values.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -29,7 +32,7 @@ import numpy as np
 
 from . import linalg
 from .colligation import ROperator, s_UR
-from .domains import in_bidisc, in_rG, in_skew_bidisc, pi_map, t_r
+from .domains import in_bidisc, pi_map, point_stack, t_r
 from .errors import InvalidParams, OutsideDomain, ShapeMismatch
 
 
@@ -57,76 +60,92 @@ class KernelContext:
         return self.U.shape[0]
 
 
-def kernel_Z(ctx: KernelContext, lam: Sequence[complex], mu: Sequence[complex]) -> np.ndarray:
-    """Evaluate the skew-bidisc kernel Z at (lam, mu) in (rD x D)^2."""
-    if not in_skew_bidisc(lam, ctx.r, margin=0.0):
-        raise OutsideDomain(f"first point {tuple(lam)} is not in rD x D")
-    if not in_skew_bidisc(mu, ctx.r, margin=0.0):
-        raise OutsideDomain(f"second point {tuple(mu)} is not in rD x D")
-    l1, l2 = complex(lam[0]), complex(lam[1])
-    m1, m2 = complex(mu[0]), complex(mu[1])
+def _on_pairs(domain: str):
+    """Lift a function of two checked (N, 2) point stacks to the public form.
+
+    The lifted function takes one pair of points, giving the value at that
+    pair, or two (N, 2) stacks, giving the N values stacked.  It checks every
+    point with ``point_stack`` and evaluates in the blocks of ``linalg.blocks``.
+    """
+
+    def lift(stacked):
+        @functools.wraps(stacked)
+        def on_pairs(ctx: KernelContext, p, q):
+            p, one = point_stack(p, ctx.r, domain)
+            q, q_one = point_stack(q, ctx.r, domain)
+            if one != q_one or len(p) != len(q):
+                raise ShapeMismatch(f"{len(p)} points do not pair up with {len(q)}")
+            parts = [stacked(ctx, p[b], q[b]) for b in linalg.blocks(len(p), ctx.dim)]
+            out = np.concatenate(parts) if parts else stacked(ctx, p, q)
+            return out[0] if one else out
+
+        return on_pairs
+
+    return lift
+
+
+@_on_pairs("rD x D")
+def kernel_Z(ctx: KernelContext, lam, mu) -> np.ndarray:
+    """Evaluate the skew-bidisc kernel Z at pairs (lam, mu) of points of rD x D."""
+    l1, l2 = lam[:, 0, None, None], lam[:, 1, None, None]
+    m1, m2 = mu[:, 0, None, None].conj(), mu[:, 1, None, None].conj()
     r = ctx.r
     eye = np.eye(ctx.dim)
     rinv = ctx.R.inv_matrix
     rinv2 = rinv @ rinv
-    u = ctx.U
-    uh = u.conj().T
-    first = (
-        (eye - r * m2.conjugate() * rinv @ uh)
-        @ (eye - m1.conjugate() * l1 * rinv2)
-        @ (eye - r * l2 * u @ rinv)
-    )
-    second = (
-        (eye - m1.conjugate() * rinv @ uh)
-        @ (eye - r * r * m2.conjugate() * l2 * rinv2)
-        @ (eye - l1 * u @ rinv)
-    )
+    urinv = ctx.U @ rinv
+    rinv_uh = rinv @ ctx.U.conj().T
+    first = (eye - r * m2 * rinv_uh) @ (eye - m1 * l1 * rinv2) @ (eye - r * l2 * urinv)
+    second = (eye - m1 * rinv_uh) @ (eye - r * r * m2 * l2 * rinv2) @ (eye - l1 * urinv)
     return first + second
 
 
-def kernel_Y(ctx: KernelContext, s: Sequence[complex], t: Sequence[complex]) -> np.ndarray:
-    """Evaluate the collapsed kernel Y at (s, t) in (r.G)^2."""
-    if not in_rG(s, ctx.r, margin=0.0):
-        raise OutsideDomain(f"first point {tuple(s)} is not in r.G")
-    if not in_rG(t, ctx.r, margin=0.0):
-        raise OutsideDomain(f"second point {tuple(t)} is not in r.G")
-    s1, s2 = complex(s[0]), complex(s[1])
-    t1, t2 = complex(t[0]), complex(t[1])
+# Y on stacks already checked: the r.G residuals reuse it, since a second
+# membership test in r.G costs about 4 us per point.
+def _y(ctx: KernelContext, s: np.ndarray, t: np.ndarray) -> np.ndarray:
+    s1, s2 = s[:, 0, None, None], s[:, 1, None, None]
+    t1, t2 = t[:, 0, None, None].conj(), t[:, 1, None, None].conj()
     eye = np.eye(ctx.dim)
     rinv = ctx.R.inv_matrix
     rinv2 = rinv @ rinv
     u = ctx.U
     uh = u.conj().T
-    term1 = 2.0 * (eye - t2.conjugate() * s2 * rinv @ uh @ rinv2 @ u @ rinv)
-    term2 = (t1.conjugate() * s2 * rinv2 - s1 * eye) @ (u @ rinv)
-    term3 = (rinv @ uh) @ (t2.conjugate() * s1 * rinv2 - t1.conjugate() * eye)
+    term1 = 2.0 * (eye - t2 * s2 * (rinv @ uh @ rinv2 @ u @ rinv))
+    term2 = (t1 * s2 * rinv2 - s1 * eye) @ (u @ rinv)
+    term3 = (rinv @ uh) @ (t2 * s1 * rinv2 - t1 * eye)
     return term1 + term2 + term3
 
 
-def substitution_residual(ctx: KernelContext, lam: Sequence[complex], mu: Sequence[complex]) -> float:
-    """Spectral norm of Z(lam, mu) - Y(s, t) under the symmetrizing substitution."""
-    s = pi_map(t_r(lam, ctx.r))
-    t = pi_map(t_r(mu, ctx.r))
+@_on_pairs("r.G")
+def kernel_Y(ctx: KernelContext, s, t) -> np.ndarray:
+    """Evaluate the collapsed kernel Y at pairs (s, t) of points of r.G."""
+    return _y(ctx, s, t)
+
+
+@_on_pairs("rD x D")
+def substitution_residual(ctx: KernelContext, lam, mu):
+    """Spectral norm of Z(lam, mu) - Y(s, t), where s = pi(t_r(lam)), t = pi(t_r(mu))."""
+    s = [pi_map(t_r(z, ctx.r)) for z in lam.tolist()]
+    t = [pi_map(t_r(z, ctx.r)) for z in mu.tolist()]
     return linalg.spectral_norm(kernel_Z(ctx, lam, mu) - kernel_Y(ctx, s, t))
 
 
-def factorization_residual(ctx: KernelContext, s: Sequence[complex], t: Sequence[complex]) -> float:
+@_on_pairs("r.G")
+def factorization_residual(ctx: KernelContext, s, t):
     """Defect of the factorization of Y through the fundamental fraction."""
-    y = kernel_Y(ctx, s, t)
-    s1 = complex(s[0])
-    t1 = complex(t[0])
     eye = np.eye(ctx.dim)
     urinv = ctx.U @ ctx.R.inv_matrix
-    a_s = 2.0 * eye - s1 * urinv
-    a_t = 2.0 * eye - t1 * urinv
-    frac_s, frac_t = s_UR([s, t], ctx.U, ctx.R)
-    rhs = 0.5 * a_t.conj().T @ (eye - frac_t.conj().T @ frac_s) @ a_s
-    return linalg.spectral_norm(y - rhs)
+    a_s = 2.0 * eye - s[:, 0, None, None] * urinv
+    a_t = 2.0 * eye - t[:, 0, None, None] * urinv
+    frac_s, frac_t = s_UR(s, ctx.U, ctx.R), s_UR(t, ctx.U, ctx.R)
+    rhs = 0.5 * a_t.conj().swapaxes(1, 2) @ (eye - frac_t.conj().swapaxes(1, 2) @ frac_s) @ a_s
+    return linalg.spectral_norm(_y(ctx, s, t) - rhs)
 
 
-def hermitian_symmetry_residual(ctx: KernelContext, s: Sequence[complex], t: Sequence[complex]) -> float:
+@_on_pairs("r.G")
+def hermitian_symmetry_residual(ctx: KernelContext, s, t):
     """Defect of Y(s, t)* = Y(t, s), a consequence of the factorization."""
-    return linalg.spectral_norm(kernel_Y(ctx, s, t).conj().T - kernel_Y(ctx, t, s))
+    return linalg.spectral_norm(_y(ctx, s, t).conj().swapaxes(1, 2) - _y(ctx, t, s))
 
 
 def bidisc_model_residual(

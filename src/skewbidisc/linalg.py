@@ -27,6 +27,10 @@ TOL_UNITARY = 1e-12
 # Relative cutoff below which singular values count as zero.
 RCOND = 1e-12
 
+# Matrix entries per (N, n, n) working stack (64 KB of complex128): point-stack
+# computations run in :func:`blocks` of points, so their memory does not grow with N.
+BLOCK_ENTRIES = 1 << 12
+
 
 def _as_matrix(m, name: str = "matrix", stack: bool = False) -> np.ndarray:
     """Finite complex matrix; with ``stack``, a ``(..., rows, cols)`` stack of them."""
@@ -78,12 +82,20 @@ def inverse(m, rcond: float = RCOND) -> np.ndarray:
     return np.linalg.inv(a)
 
 
-def spectral_norm(m) -> float:
-    """Largest singular value; 0.0 for an empty matrix."""
-    a = _as_matrix(m, "norm operand")
-    if a.size == 0:
-        return 0.0
-    return float(np.linalg.norm(a, 2))
+def blocks(count: int, dim: int) -> list[slice]:
+    """Slices of ``range(count)`` holding at most ``BLOCK_ENTRIES / dim^2`` points each."""
+    step = max(1, BLOCK_ENTRIES // dim**2)
+    return [slice(k, k + step) for k in range(0, count, step)]
+
+
+def spectral_norm(m):
+    """Largest singular value (a float), or the array of them for a ``(..., m, n)`` stack.
+
+    Empty matrices have norm 0.0.
+    """
+    a = _as_matrix(m, "norm operand", stack=True)
+    norms = np.linalg.norm(a, 2, axis=(-2, -1)) if a.size else np.zeros(a.shape[:-2])
+    return float(norms) if a.ndim == 2 else norms
 
 
 def is_unitary(m, tol: float = TOL_UNITARY) -> bool:

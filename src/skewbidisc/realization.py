@@ -27,11 +27,8 @@ import numpy as np
 
 from . import linalg
 from .colligation import Colligation, ROperator, s_T, s_UR, validate_colligation
-from .domains import Point2, check_r, in_rG, sample_rG
-from .errors import InsufficientSamples, InvalidParams, NotInvertible, OutsideDomain, ShapeMismatch
-
-# Matrix entries per working stack of :func:`evaluate` (1 MB of complex128).
-BLOCK_ENTRIES = 1 << 16
+from .domains import Point2, check_r, point_stack, sample_rG
+from .errors import InsufficientSamples, InvalidParams, NotInvertible, ShapeMismatch
 
 Evaluator = Callable[[Sequence[complex]], np.ndarray]
 ScalarEvaluator = Callable[[Sequence[complex]], complex]
@@ -60,24 +57,23 @@ def evaluate(c: Colligation, pts) -> tuple[np.ndarray, np.ndarray]:
     other rows are u.  Entry (i, j) of Gram(A) - Gram(B) is the model
     identity defect at (s, t) = (s_j, s_i): ``linalg.gram_gap`` of the two
     is the worst :func:`model_residual` over all pairs.  The points are
-    solved in blocks of at most ``BLOCK_ENTRIES / dim^2``, so the (N, n, n)
-    working stacks stay a few MB however many points are asked for.
+    solved in the blocks of ``linalg.blocks``, so the (N, n, n) working
+    stacks stay small however many points are asked for.
     """
     pts = np.asarray(pts, dtype=complex)
     if pts.size and pts.ndim != 2:
         raise ShapeMismatch(f"points must have shape (N, 2), got {pts.shape}")
     a_fam = np.ones((1 + c.dim, len(pts)), dtype=complex)
     b_fam = np.empty_like(a_fam)
-    step = max(1, BLOCK_ENTRIES // c.dim**2)
-    for k in range(0, len(pts), step):
-        frac = s_UR(pts[k : k + step], c.U, c.R)
+    for b in linalg.blocks(len(pts), c.dim):
+        frac = s_UR(pts[b], c.U, c.R)
         gamma = np.broadcast_to(c.gamma[:, None], (len(frac), c.dim, 1))
         try:
             u = np.linalg.solve(np.eye(c.dim) - c.D @ frac, gamma)
         except np.linalg.LinAlgError as exc:  # ||D s_{U,R}|| < 1 in-domain
             raise NotInvertible("1 - D s_UR singular at a point of the stack") from exc
-        a_fam[1:, k : k + step] = (frac @ u)[:, :, 0].T
-        b_fam[1:, k : k + step] = u[:, :, 0].T
+        a_fam[1:, b] = (frac @ u)[:, :, 0].T
+        b_fam[1:, b] = u[:, :, 0].T
     b_fam[0] = c.a + c.beta.conj() @ a_fam[1:]
     return a_fam, b_fam
 
@@ -194,10 +190,7 @@ def scaled_model_residual(
     the linear slot of the kernel (s) is the argument of the unconjugated f.
     """
     check_r(r)
-    if not in_rG(s, r, margin=0.0):
-        raise OutsideDomain(f"first point {tuple(s)} is not in r.G")
-    if not in_rG(t, r, margin=0.0):
-        raise OutsideDomain(f"second point {tuple(t)} is not in r.G")
+    point_stack([s, t], r)
     x = linalg._as_square(np.asarray(T, dtype=complex) / r, "X")
     frac_s = s_T(s, x)
     frac_t = s_T(t, x)

@@ -33,8 +33,7 @@ from .colligation import ROperator, SubspaceSplit, build_R
 from .domains import (
     Point2,
     check_r,
-    in_rG,
-    in_skew_bidisc,
+    point_stack,
     quad_roots,
     sample_skew_bidisc,
     sigma,
@@ -44,7 +43,6 @@ from .errors import (
     InsufficientSamples,
     InvalidParams,
     NotInvertible,
-    OutsideDomain,
     ShapeMismatch,
 )
 from .realization import GrModel
@@ -136,8 +134,7 @@ class BidiscModelSpec:
 
 def eval_v(spec: BidiscModelSpec, lam: Sequence[complex]) -> np.ndarray:
     """The stacked vector (1/sqrt 2)[u1(lam); u2(sigma(lam))] on rD x D."""
-    if not in_skew_bidisc(lam, spec.r, margin=0.0):
-        raise OutsideDomain(f"point {tuple(lam)} is not in rD x D")
+    point_stack(lam, spec.r, "rD x D")
     lam_s = sigma(lam, spec.r)
     return np.concatenate([spec.u1.eval(lam), spec.u2.eval(lam_s)]) / SQRT2
 
@@ -222,17 +219,11 @@ def synthesize(
 
     Raises InsufficientSamples when fewer than 2 (d1 + d2) points are given.
     """
-    pts = [
-        (complex(p[0]), complex(p[1]))
-        for p in sample_pts
-    ]
+    pts = [tuple(p) for p in point_stack(sample_pts, spec.r, "rD x D")[0].tolist()]
     if len(pts) < 2 * spec.dim:
         raise InsufficientSamples(
             f"{len(pts)} samples for dimension {spec.dim}; need at least {2 * spec.dim}"
         )
-    for p in pts:
-        if not in_skew_bidisc(p, spec.r, margin=0.0):
-            raise OutsideDomain(f"sample point {p} is not in rD x D")
     grid = sample_skew_bidisc(VALIDATION_GRID_SIZE, spec.r, VALIDATION_SEED)
     max_sym, max_model = _spec_precheck(spec, pts + grid)
     if max_sym > tol:
@@ -252,12 +243,9 @@ def synthesize(
     a_mat, b_mat = _gram_families(spec, pts, r_op.inv_matrix)
     isom = linalg.isometry_from_gramians(a_mat, b_mat, tol)
     u = linalg.unitary_extension(isom, spec.dim)
-    agree = 0.0
-    for i in range(a_mat.shape[1]):
-        agree = max(agree, float(np.linalg.norm(u @ a_mat[:, i] - b_mat[:, i])))
     report = {
         "gramian_residual": linalg.gram_gap(a_mat, b_mat),
-        "isometry_residual": agree,
+        "isometry_residual": float(np.max(np.linalg.norm(u @ a_mat - b_mat, axis=0))),
         "u_unitarity": linalg.spectral_norm(u.conj().T @ u - np.eye(spec.dim)),
         "sigma_symmetry_residual": max_sym,
         "bidisc_model_residual": max_model,
@@ -269,20 +257,18 @@ def synthesize(
 
 def eval_w(m: SynthesizedModel, lam: Sequence[complex]) -> np.ndarray:
     """w(lam) = (1 - r l2 U R^{-1})^{-1} v(lam); symmetric under sigma."""
-    if not in_skew_bidisc(lam, m.spec.r, margin=0.0):
-        raise OutsideDomain(f"point {tuple(lam)} is not in rD x D")
+    v = eval_v(m.spec, lam)  # refuses lam outside rD x D
     l2 = complex(lam[1])
     mat = np.eye(m.dim) - m.spec.r * l2 * m.U @ m.R.inv_matrix
     try:
-        return np.linalg.solve(mat, eval_v(m.spec, lam))
+        return np.linalg.solve(mat, v)
     except np.linalg.LinAlgError as exc:  # ||r l2 U R^{-1}|| = |l2| < 1 in-domain
         raise NotInvertible(f"resolvent singular at {tuple(lam)}") from exc
 
 
 def eval_x(m: SynthesizedModel, s: Sequence[complex]) -> np.ndarray:
     """x(s) = w at a root preimage of s; the assignment drops out by symmetry."""
-    if not in_rG(s, m.spec.r, margin=0.0):
-        raise OutsideDomain(f"point {tuple(s)} is not in r.G")
+    point_stack(s, m.spec.r)
     rho1, rho2 = quad_roots(s)
     return eval_w(m, (rho1, rho2 / m.spec.r))
 
@@ -307,8 +293,7 @@ def intertwining_residual(m: SynthesizedModel, lam: Sequence[complex]) -> float:
 
 def model_f_eval(m: SynthesizedModel, s: Sequence[complex]) -> complex:
     """F at either root preimage of s; well defined by sigma-symmetry."""
-    if not in_rG(s, m.spec.r, margin=0.0):
-        raise OutsideDomain(f"point {tuple(s)} is not in r.G")
+    point_stack(s, m.spec.r)
     rho1, rho2 = quad_roots(s)
     return m.spec.F.eval((rho1, rho2 / m.spec.r))
 

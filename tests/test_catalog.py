@@ -96,7 +96,7 @@ def test_campaign_reports_schur_bound_and_denominator():
 def test_campaign_zero_samples():
     report = catalog_campaign(upsilon_params(R, W1), "upsilon", n=0, seed=0)
     assert report.max_gap == 0.0
-    assert report.min_denominator == 0.0
+    assert report.min_denominator == float("inf")
 
 
 def test_hand_built_defective_colligation_fails_validation():

@@ -63,6 +63,7 @@ def test_certify_command_and_determinism(capsys, colligation_file):
     assert rep1 == rep2
     names = [chk[0] for chk in rep1["checks"]]
     assert names == ["schur_bound", "diag_model_residual", "pair_model_residual"]
+    assert rep1["checks"][0][2] == 1e-12  # certify's own --tol default
 
 
 def test_synthesize_command_writes_colligation(capsys, spec_file, tmp_path):
@@ -100,6 +101,17 @@ def test_kernel_check_command(capsys):
     names = [chk[0] for chk in report["checks"]]
     assert names == ["factorization", "substitution", "hermitian_symmetry"]
     assert report["max_residual"] < 1e-10
+    assert all(chk[2] == 1e-10 for chk in report["checks"])
+
+
+@pytest.mark.parametrize("samples, pairs", [(0, 0), (1, 3), (30, 30), (301, 300)])
+def test_kernel_check_reports_the_pairs_it_checks(capsys, samples, pairs):
+    # Each of the three unitaries gets samples // 3 pairs, at least one.
+    code, report = _run_json(
+        capsys, ["kernel-check", "--samples", str(samples), "--dims", "1,2"]
+    )
+    assert code == 0
+    assert report["sample_count"] == pairs
 
 
 @pytest.mark.parametrize("name", ["upsilon", "magic", "blend", "rank-one"])
@@ -112,6 +124,13 @@ def test_catalog_command(capsys, name):
     assert "crosscheck_gap" in names
     if name == "upsilon":
         assert "upsilon_identity" in names
+
+
+@pytest.mark.parametrize("name", ["upsilon", "rank-one"])
+def test_catalog_with_no_samples_passes_vacuously(capsys, name):
+    code, report = _run_json(capsys, ["catalog", "--name", name, "--samples", "0"])
+    assert code == 0, report
+    assert report["passed"] is True and report["max_residual"] == 0.0
 
 
 def test_sample_command_roundtrip(capsys, tmp_path):

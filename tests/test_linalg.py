@@ -68,6 +68,17 @@ def test_spectral_norm_of_zero_and_empty():
     assert linalg.spectral_norm(np.zeros((0, 0))) == 0.0
 
 
+def test_spectral_norm_of_a_stack():
+    rng = np.random.Generator(np.random.Philox(11))
+    stack = rng.standard_normal((2, 4, 3, 2)) + 1j * rng.standard_normal((2, 4, 3, 2))
+    norms = linalg.spectral_norm(stack)
+    assert norms.shape == (2, 4)
+    for idx in np.ndindex(2, 4):
+        assert norms[idx] == pytest.approx(np.linalg.norm(stack[idx], 2), rel=1e-14)
+    assert linalg.spectral_norm(np.zeros((2, 0, 0))).tolist() == [0.0, 0.0]
+    assert linalg.spectral_norm(np.zeros((0, 3, 3))).shape == (0,)
+
+
 def test_is_unitary_accepts_identity_at_zero_tol():
     assert linalg.is_unitary(np.eye(4), tol=0.0)
 

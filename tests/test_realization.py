@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from skewbidisc import domains, linalg, realization
+from skewbidisc import domains, linalg
 from skewbidisc.catalog import magic_params, rank_one_build, upsilon_params
 from skewbidisc.colligation import (
     Colligation,
@@ -125,10 +125,10 @@ def test_stacked_evaluation_in_blocks_matches_one_block(monkeypatch):
     c = random_colligation(SubspaceSplit(2, 3), R_DEFAULT, seed=57)
     pts = domains.sample_rG(23, R_DEFAULT, seed=58)
     whole = evaluate(c, pts)
-    monkeypatch.setattr(realization, "BLOCK_ENTRIES", 5 * c.dim**2)
+    monkeypatch.setattr(linalg, "BLOCK_ENTRIES", 5 * c.dim**2)
     for fam, ref in zip(evaluate(c, pts), whole):
         assert fam.shape == ref.shape and np.max(np.abs(fam - ref)) <= DIFF_TOL
-    monkeypatch.setattr(realization, "BLOCK_ENTRIES", 1)
+    monkeypatch.setattr(linalg, "BLOCK_ENTRIES", 1)
     assert np.max(np.abs(evaluate(c, pts)[1] - whole[1])) <= DIFF_TOL
 
 
