@@ -18,6 +18,7 @@ configuration or parse errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -54,12 +55,15 @@ from .synthesis import (
 DEFAULT_R = 0.5
 DEFAULT_SAMPLES = 200
 DEFAULT_SEED = 0
+DEFAULT_TOL = 1e-10
+# certify's bound |f| <= 1 + tol is checked tighter than the other identities.
+CERTIFY_TOL = 1e-12
 
 
 @dataclass(frozen=True)
 class RunConfig:
     command: str
-    tol: float
+    tol: float = DEFAULT_TOL
     r: float = DEFAULT_R
     samples: int = DEFAULT_SAMPLES
     seed: int = DEFAULT_SEED
@@ -252,6 +256,7 @@ _COMMANDS = {
     "sample": cmd_sample,
 }
 
+
 def _parse_dims(text: str) -> tuple[int, int]:
     parts = text.split(",")
     if len(parts) != 2:
@@ -263,41 +268,55 @@ def _parse_dims(text: str) -> tuple[int, int]:
     return d1, d2
 
 
+# The flags each command reads; argparse refuses the others with exit status 2.
+_FLAGS = {
+    "validate": ("input", "tol"),
+    "certify": ("input", "samples", "seed", "tol", "r"),
+    "synthesize": ("input", "output", "seed", "tol"),
+    "kernel-check": ("dims", "r", "samples", "seed", "tol"),
+    "catalog": ("name", "r", "samples", "seed", "tol"),
+    "sample": ("r", "samples", "seed", "output"),
+}
+_FLAG_OPTIONS = {
+    "input": {"dest": "input_path"},
+    "output": {"dest": "output_path"},
+    "name": {},
+    "dims": {},
+    "r": {"type": float},
+    "samples": {"type": int},
+    "seed": {"type": int},
+    "tol": {"type": float},
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser.  Flags left out keep the defaults of :class:`RunConfig`."""
     parser = argparse.ArgumentParser(
         prog="skewbidisc",
         description="Verification campaigns for Schur-class functions on the symmetrized skew bidisc.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--r", type=float, default=DEFAULT_R)
-        p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-        p.add_argument("--tol", type=float, default=1e-12 if name == "certify" else 1e-10)
-        p.add_argument("--input", dest="input_path", default=None)
-        p.add_argument("--output", dest="output_path", default=None)
-        p.add_argument("--name", default=None)
-        p.add_argument("--dims", default="2,3")
+    for name, flags in _FLAGS.items():
+        p = sub.add_parser(name, argument_default=argparse.SUPPRESS)
+        for flag in flags:
+            p.add_argument(f"--{flag}", **_FLAG_OPTIONS[flag])
+    sub.choices["certify"].set_defaults(tol=CERTIFY_TOL)
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def run(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = vars(_parser().parse_args(argv))
+    command = args.pop("command")
     try:
-        cfg = RunConfig(
-            command=args.command,
-            r=args.r,
-            samples=args.samples,
-            seed=args.seed,
-            tol=args.tol,
-            input_path=args.input_path,
-            output_path=args.output_path,
-            name=args.name,
-            dims=_parse_dims(args.dims),
-        )
-        report = _COMMANDS[args.command](cfg)
+        if "dims" in args:
+            args["dims"] = _parse_dims(args["dims"])
+        cfg = RunConfig(command=command, **args)
+        report = _COMMANDS[command](cfg)
     except (ConfigError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

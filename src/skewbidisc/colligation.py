@@ -179,11 +179,41 @@ def s_UR(s, U: np.ndarray, R: ROperator) -> np.ndarray:
     s1, s2 = stack[:, 0, None, None], stack[:, 1, None, None]
     num = 2.0 * s2 * (R.inv_matrix @ u) - s1 * np.eye(u.shape[0])
     try:
-        fracs = num @ linalg.inverse(2.0 * R.matrix - s1 * u)
+        fracs = num @ _resolvent_inverse(s1, u, R)
     except SingularMatrix as exc:
         s1, s2 = stack[exc.index].tolist()
         raise NotInvertible(f"resolvent factor singular at ({s1}, {s2}) in r.G: {exc}") from exc
     return fracs[0] if one else fracs
+
+
+def _resolvent_inverse(s1: np.ndarray, u: np.ndarray, R: ROperator) -> np.ndarray:
+    """Inverses of 2 R - s1 U for an (N, 1, 1) stack s1, SVD-guarded only where a bound fails.
+
+    Since R = diag(1, r) with r < 1, Weyl's inequality gives
+    sigma_min(2 R - s1 U) >= 2 r - |s1| ||U|| and sigma_max <= 2 + |s1| ||U||.
+    Where the first is at least twice ``linalg.RCOND`` times the second, the
+    factor passes :func:`linalg.inverse`'s singular-value test, and the factor
+    2 absorbs the roundoff of that test and of the norm bound.  Those factors
+    are inverted directly; the others (non-unitary U, |s1| near 2 r) go
+    through :func:`linalg.inverse`.  A SingularMatrix carries the index of
+    the first failing factor of the whole stack, as if every factor had
+    been tested.
+    """
+    # sqrt of the largest row sum of |U^H U| bounds ||U||_2 (rho(A) <= ||A||_inf).
+    norm_u = np.sqrt(np.max(np.sum(np.abs(u.conj().T @ u), axis=1)))
+    reach = np.abs(s1[:, 0, 0]) * norm_u
+    settled = 2.0 * R.r - reach >= 2.0 * linalg.RCOND * (2.0 + reach)
+    factors = 2.0 * R.matrix - s1 * u
+    if settled.all():
+        return np.linalg.inv(factors)
+    inv = np.empty_like(factors)
+    inv[settled] = np.linalg.inv(factors[settled])
+    try:
+        inv[~settled] = linalg.inverse(factors[~settled])
+    except SingularMatrix:
+        linalg.inverse(factors)  # raises for the same factor, indexed in the whole stack
+        raise
+    return inv
 
 
 def s_T(q, T: np.ndarray) -> np.ndarray:

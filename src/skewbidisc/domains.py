@@ -23,7 +23,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DegenerateDenominator, NotUnimodular, OutsideDomain, PoleAtInput, ShapeMismatch
+from .errors import (
+    DegenerateDenominator,
+    InvalidParams,
+    NotUnimodular,
+    OutsideDomain,
+    PoleAtInput,
+    ShapeMismatch,
+)
 
 Point2 = tuple[complex, complex]
 
@@ -31,6 +38,9 @@ MEMBERSHIP_MARGIN = 1e-9
 
 # |1 - s1 z / 2| below this counts as a pole of the Mobius fraction.
 POLE_EPS = 1e-14
+
+# Membership gap above which the array screen of point_stack settles a point of r.G.
+RG_SCREEN_GAP = 1e-6
 
 
 def _point(p: Sequence[complex]) -> Point2:
@@ -139,16 +149,49 @@ def point_stack(p, r: float, domain: str = "r.G") -> tuple[np.ndarray, bool]:
     ``domain`` is ``"r.G"`` or ``"rD x D"``, tested with margin 0.  Returns
     the stack and whether ``p`` was a single point.  Raises ShapeMismatch
     for any other shape and OutsideDomain naming the first point outside.
+
+    An array screen settles the points it can show to be inside: the exact
+    moduli test on ``rD x D`` and :func:`_rG_screen` on ``r.G``.  The scalar
+    test (``in_skew_bidisc`` or ``in_rG``) decides the rest, in order, and
+    alone decides a single point, for which it is the cheaper test.
     """
     pts = np.asarray(p, dtype=complex)
-    if pts.size and (pts.ndim > 2 or pts.shape[-1:] != (2,)):
+    if not (pts.shape in ((2,), (0,)) or (pts.ndim == 2 and pts.shape[1] == 2)):
         raise ShapeMismatch(f"points must have shape (2,) or (N, 2), got {pts.shape}")
     stack = pts.reshape(-1, 2)
-    member = {"r.G": in_rG, "rD x D": in_skew_bidisc}[domain]
-    for z1, z2 in stack.tolist():
+    member, screen = {
+        "r.G": (in_rG, _rG_screen),
+        "rD x D": (in_skew_bidisc, _skew_bidisc_screen),
+    }[domain]
+    unsettled = [0] if len(stack) == 1 else np.flatnonzero(~screen(stack, r)).tolist()
+    for k in unsettled:
+        z1, z2 = stack[k].tolist()
         if not member((z1, z2), r, margin=0.0):
             raise OutsideDomain(f"point ({z1}, {z2}) is not in {domain} for r={r}")
     return stack, pts.shape == (2,)
+
+
+def _rG_screen(stack: np.ndarray, r: float) -> np.ndarray:
+    """Points of an (N, 2) stack that are certainly in r.G.
+
+    A point q of C^2 lies in G exactly when |q1 - conj(q1) q2| < 1 - |q2|^2.
+    Where that gap exceeds ``RG_SCREEN_GAP`` at q = (s1/r, s2/r^2), both
+    roots stay about ``RG_SCREEN_GAP / 5`` inside the unit circle, far beyond
+    the root error of :func:`quad_roots` (about 1e-8 even near double
+    roots), so :func:`in_rG` accepts the point too.
+    """
+    q1 = stack[:, 0] / r
+    q2 = stack[:, 1] / (r * r)
+    return np.abs(q1 - q1.conj() * q2) < 1.0 - np.abs(q2) ** 2 - RG_SCREEN_GAP
+
+
+def _skew_bidisc_screen(stack: np.ndarray, r: float) -> np.ndarray:
+    """Points of an (N, 2) stack in rD x D, exactly as :func:`in_skew_bidisc` decides.
+
+    The moduli come from ``np.hypot``, the libm hypot that Python's ``abs``
+    uses; ``np.abs`` of a complex array can differ from it in the last bit.
+    """
+    return (np.hypot(stack.real, stack.imag) < (r, 1.0)).all(axis=1)
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -156,8 +199,14 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
 
 
+def _check_size(n: int) -> None:
+    if n < 0:
+        raise InvalidParams(f"sample size must be >= 0, got {n}")
+
+
 def sample_disc(n: int, seed: int, radius: float = 1.0) -> list[complex]:
     """n rejection-sampled points of the open disc of given radius."""
+    _check_size(n)
     rng = _rng(seed)
     out: list[complex] = []
     while len(out) < n:
@@ -180,27 +229,43 @@ def sample_rG(n: int, r: float, seed: int) -> list[Point2]:
     produce the identical list.
     """
     check_r(r)
-    return _sample_disc_pairs(n, seed, lambda a, b: (r * (a + b), r * r * a * b))
+    ax, ay, bx, by = _sample_disc_pairs(n, seed)
+    # (r (a + b), r^2 a b) in real arithmetic, in the order Python's complex
+    # operations take: numpy's complex multiply can differ in the last bit.
+    cx, cy = r * r * ax, r * r * ay
+    return _point_list(r * (ax + bx), r * (ay + by), cx * bx - cy * by, cx * by + cy * bx)
 
 
 def sample_skew_bidisc(n: int, r: float, seed: int) -> list[Point2]:
     """n seeded pseudo-random points of rD x D."""
     check_r(r)
-    return _sample_disc_pairs(n, seed, lambda a, b: (r * a, b))
+    ax, ay, bx, by = _sample_disc_pairs(n, seed)
+    return _point_list(r * ax, r * ay, bx, by)
 
 
-def _sample_disc_pairs(n: int, seed: int, to_point) -> list[Point2]:
-    """``to_point(a, b)`` for n seeded pairs (a, b) of points of the open unit disc."""
+def _sample_disc_pairs(n: int, seed: int) -> np.ndarray:
+    """Rows Re a, Im a, Re b, Im b of n seeded pairs (a, b) of points of the open unit disc.
+
+    Each batch of the square's points keeps those inside the disc and pairs
+    them off in order; an unpaired last point and pairs beyond n are dropped.
+    """
+    _check_size(n)
     rng = _rng(seed)
-    pts: list[Point2] = []
-    while len(pts) < n:
-        batch = rng.uniform(-1.0, 1.0, size=(max(4 * (n - len(pts)), 32), 2))
-        discs = [complex(x, y) for x, y in batch if x * x + y * y < 1.0]
-        for a, b in zip(discs[0::2], discs[1::2]):
-            pts.append(to_point(a, b))
-            if len(pts) == n:
-                break
-    return pts
+    pairs = [np.empty((0, 4))]
+    need = n
+    while need > 0:
+        batch = rng.uniform(-1.0, 1.0, size=(max(4 * need, 32), 2))
+        discs = batch[batch[:, 0] * batch[:, 0] + batch[:, 1] * batch[:, 1] < 1.0]
+        take = min(len(discs) // 2, need)
+        pairs.append(discs[: 2 * take].reshape(take, 4))
+        need -= take
+    return np.concatenate(pairs).T
+
+
+def _point_list(x1, y1, x2, y2) -> list[Point2]:
+    """The points (x1 + i y1, x2 + i y2) as tuples of Python complex numbers."""
+    z = np.stack([x1, y1, x2, y2], axis=-1).view(complex)
+    return list(zip(z[:, 0].tolist(), z[:, 1].tolist()))
 
 
 def mobius_phi(z: complex, s: Sequence[complex]) -> complex:

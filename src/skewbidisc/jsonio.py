@@ -29,12 +29,7 @@ def complex_to_json(z: complex) -> dict:
 def complex_from_json(obj: Any, where: str) -> complex:
     if not isinstance(obj, dict) or set(obj) != {"re", "im"}:
         raise ParseError(f"{where}: expected an object with keys 're' and 'im'")
-    re, im = obj["re"], obj["im"]
-    if not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in (re, im)):
-        raise ParseError(f"{where}: 're' and 'im' must be numbers")
-    if not (math.isfinite(re) and math.isfinite(im)):
-        raise ParseError(f"{where}: non-finite component")
-    return complex(re, im)
+    return complex(_real_number(obj["re"], f"{where}.re"), _real_number(obj["im"], f"{where}.im"))
 
 
 def vector_to_json(vec) -> list:
@@ -70,9 +65,16 @@ def _require(obj: dict, key: str, where: str) -> Any:
 
 
 def _real_number(obj: Any, where: str) -> float:
-    if not isinstance(obj, (int, float)) or isinstance(obj, bool) or not math.isfinite(obj):
+    """A JSON number as a finite float; booleans and integers too large for a float fail."""
+    if not isinstance(obj, (int, float)) or isinstance(obj, bool):
         raise ParseError(f"{where}: expected a finite number")
-    return float(obj)
+    try:
+        value = float(obj)
+    except OverflowError:
+        raise ParseError(f"{where}: integer too large for a float") from None
+    if not math.isfinite(value):
+        raise ParseError(f"{where}: expected a finite number")
+    return value
 
 
 def _int_number(obj: Any, where: str) -> int:

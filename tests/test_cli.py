@@ -165,6 +165,54 @@ def test_exit_code_2_on_config_errors(capsys, colligation_file):
     capsys.readouterr()
 
 
+def test_commands_refuse_flags_they_do_not_read(capsys, colligation_file):
+    for argv in (
+        ["validate", "--input", str(colligation_file), "--samples", "5"],
+        ["synthesize", "--input", str(colligation_file), "--r", "0.5"],
+        ["sample", "--tol", "1e-3"],
+        ["catalog", "--name", "magic", "--dims", "1,1"],
+    ):
+        with pytest.raises(SystemExit) as exit_info:
+            run(argv)
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_parser_accepts_the_benchmark_campaigns_and_is_built_once(capsys, monkeypatch):
+    from skewbidisc import cli
+
+    argvs = (
+        ["certify", "--input", "c.json", "--samples", "300", "--seed", "7"],
+        ["kernel-check", "--r", "0.5", "--dims", "8,8", "--samples", "300", "--seed", "7"],
+        ["synthesize", "--input", "s.json", "--output", "o.json", "--seed", "7"],
+        ["catalog", "--name", "blend", "--samples", "1000", "--seed", "7"],
+    )
+    for argv in argvs:
+        args = vars(cli.build_parser().parse_args(argv))
+        assert args["command"] == argv[0] and args["seed"] == 7
+    assert cli.build_parser().parse_args(["certify"]).tol == 1e-12
+    assert not hasattr(cli.build_parser().parse_args(["sample"]), "tol")
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    cli._parser.cache_clear()
+    try:
+        assert [run(["sample", "--samples", "3"]) for _ in range(3)] == [0, 0, 0]
+    finally:
+        cli._parser.cache_clear()
+    assert built == [1]
+    capsys.readouterr()
+
+
+def test_exit_code_2_on_an_integer_too_large_for_a_float(capsys, tmp_path, colligation_file):
+    obj = json.loads(colligation_file.read_text())
+    obj["a"]["re"] = 10**400
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(obj))
+    assert run(["validate", "--input", str(path)]) == 2
+    assert "colligation.a.re" in capsys.readouterr().err
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "skewbidisc", "sample", "--samples", "5"],

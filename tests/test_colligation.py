@@ -23,6 +23,7 @@ from skewbidisc.errors import (
     SingularMatrix,
 )
 from skewbidisc.linalg import haar_unitary, spectral_norm
+from skewbidisc.realization import schur_certify
 
 DIFF_TOL = 1e-13
 
@@ -140,6 +141,97 @@ def test_singular_member_of_a_stack_is_refused():
         s_UR(pts, U, R)
     with pytest.raises(NotInvertible, match=named):
         s_UR(pts[1], U, R)
+
+
+def _s_UR_all_svd(pts, U, R):
+    """The stacked fraction with every resolvent factor tested by linalg.inverse's SVD."""
+    stack = np.asarray(pts, dtype=complex).reshape(-1, 2)
+    s1, s2 = stack[:, 0, None, None], stack[:, 1, None, None]
+    num = 2.0 * s2 * (R.inv_matrix @ U) - s1 * np.eye(U.shape[0])
+    return num @ linalg.inverse(2.0 * R.matrix - s1 * U)
+
+
+@pytest.mark.parametrize("dims", [(1, 1), (2, 3), (8, 8)])
+@pytest.mark.parametrize("r", [1e-4, 0.5, 1 - 1e-6])
+def test_certified_s_UR_is_bitwise_the_all_svd_fraction(dims, r):
+    R = build_R(SubspaceSplit(*dims), r)
+    U = haar_unitary(R.matrix.shape[0], 50)
+    pts = domains.sample_rG(200, r, seed=51)
+    np.testing.assert_array_equal(s_UR(pts, U, R), _s_UR_all_svd(pts, U, R))
+    np.testing.assert_array_equal(s_UR(pts[3], U, R), _s_UR_all_svd([pts[3]], U, R)[0])
+    # A larger U leaves the factors at larger |s1| to the SVD; the values stay the same.
+    np.testing.assert_array_equal(s_UR(pts, 1.5 * U, R), _s_UR_all_svd(pts, 1.5 * U, R))
+
+
+def _count_calls(monkeypatch, owner, name) -> list:
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_certified_points_skip_the_svd_and_the_scalar_membership_test(monkeypatch):
+    svd = _count_calls(monkeypatch, np.linalg, "svd")
+    member = _count_calls(monkeypatch, domains, "in_rG")
+    c = random_colligation(SubspaceSplit(2, 3), 0.5, seed=60)
+    assert schur_certify(c, 300, seed=61).passed
+    assert (len(svd), len(member)) == (0, 0)
+    # ||3 U|| = 3 leaves every point with |s1| >= 1/3 to the SVD guard.
+    big = Colligation(r=c.r, split=c.split, a=c.a, beta=c.beta, gamma=c.gamma, D=c.D, U=3 * c.U)
+    schur_certify(big, 300, seed=61)
+    assert len(svd) > 0 and len(member) == 0
+    guarded = sum(len(args[0]) for args in svd)
+    assert 0 < guarded < 300
+
+
+def test_svd_fallback_names_the_same_point_as_the_all_svd_path():
+    r = 0.5
+    R = build_R(SubspaceSplit(2, 3), r)
+    U = 3.0 * haar_unitary(5, 62)
+    pts = domains.sample_rG(60, r, seed=63)
+    reach = 3.0 * np.abs([s1 for s1, _ in pts])
+    assert (reach < 2 * r - 1e-3).any() and (reach > 2 * r).any()  # both kinds of point
+    np.testing.assert_array_equal(s_UR(pts, U, R), _s_UR_all_svd(pts, U, R))
+    # 2 R - s1 U is singular where 1/s1 is an eigenvalue of (2 R)^{-1} U.  There
+    # |s1| <= 2/3, so the double-root points (s1, s1^2 / 4) lie in r.G.
+    mu = np.linalg.eigvals(np.linalg.solve(2.0 * R.matrix, U))
+    singular = [(complex(1 / m), complex(1 / m**2 / 4)) for m in mu[:2]]
+    stack = pts[:20] + singular[:1] + pts[20:40] + singular[1:] + pts[40:]
+    with pytest.raises(SingularMatrix) as ref:
+        _s_UR_all_svd(stack, U, R)
+    k = ref.value.index
+    assert k == 20
+    named = re.escape(f"at ({stack[k][0]}, {stack[k][1]}) in r.G")
+    with pytest.raises(NotInvertible, match=f"{named}.*matrix {k} of the stack") as got:
+        s_UR(stack, U, R)
+    assert str(got.value.__cause__) == str(ref.value)
+    with pytest.raises(NotInvertible, match=named):
+        s_UR(stack[k], U, R)
+
+
+@pytest.mark.parametrize("eps", [1e-14, 1e-13, 3e-12, 1e-11, 1e-9])
+def test_certificate_and_svd_agree_where_the_bound_is_tight(eps):
+    # With U = 1.5 I the factor 2 R - s1 U = diag(2 - 1.5 s1, 1 - 1.5 s1) at r = 1/2
+    # meets the bound sigma_min >= 2 r - |s1| ||U|| exactly: at s1 = (1 - eps) / 1.5 its
+    # smallest singular value is eps, and linalg.inverse refuses it below 1e-12.
+    R = build_R(SubspaceSplit(1, 1), 0.5)
+    U = 1.5 * np.eye(2, dtype=complex)
+    s1 = (1 - eps) / 1.5
+    pts = [(0.1, 0.0), (s1, s1 * s1 / 4), (-0.2j, 0.01)]
+    try:
+        expected = _s_UR_all_svd(pts, U, R)
+    except SingularMatrix as exc:
+        assert eps < 1e-12 and exc.index == 1
+        with pytest.raises(NotInvertible, match=re.escape(f"at ({complex(s1)}, ")):
+            s_UR(pts, U, R)
+    else:
+        assert eps > 1e-12
+        np.testing.assert_array_equal(s_UR(pts, U, R), expected)
 
 
 def test_s_T_zero_operator():

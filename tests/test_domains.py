@@ -1,4 +1,5 @@
 import cmath
+import re
 
 import numpy as np
 import pytest
@@ -8,9 +9,11 @@ from hypothesis import strategies as st
 from skewbidisc import domains
 from skewbidisc.errors import (
     DegenerateDenominator,
+    InvalidParams,
     NotUnimodular,
     OutsideDomain,
     PoleAtInput,
+    ShapeMismatch,
 )
 
 disc_complex = st.complex_numbers(max_magnitude=0.97, allow_nan=False, allow_infinity=False)
@@ -191,3 +194,146 @@ def test_fq_disc_matches_boundary_image():
 def test_fq_disc_degenerate():
     with pytest.raises(DegenerateDenominator):
         domains.fq_disc((2.0, 0.0))
+
+
+def _sample_disc_pairs_reference(n, seed, to_point):
+    """The one-pair-at-a-time rejection loop the array sampler replaced."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    pts = []
+    while len(pts) < n:
+        batch = rng.uniform(-1.0, 1.0, size=(max(4 * (n - len(pts)), 32), 2))
+        discs = [complex(x, y) for x, y in batch if x * x + y * y < 1.0]
+        for a, b in zip(discs[0::2], discs[1::2]):
+            pts.append(to_point(a, b))
+            if len(pts) == n:
+                break
+    return pts
+
+
+def _hex(pts):
+    return [tuple(x.hex() for z in p for x in (z.real, z.imag)) for p in pts]
+
+
+@pytest.mark.parametrize("r", [1e-4, 0.3, 0.5, 1 - 1e-6])
+def test_array_samplers_reproduce_the_scalar_stream_bit_for_bit(r):
+    # 7 sizes x 6 seeds x 4 values of r = 168 (n, r, seed) cases per sampler.
+    for n in (0, 1, 2, 7, 33, 100, 257):
+        for seed in (0, 1, 2, 17, 1234, 2**31 - 1):
+            rg = domains.sample_rG(n, r, seed)
+            skew = domains.sample_skew_bidisc(n, r, seed)
+            assert isinstance(rg, list) and all(type(p) is tuple for p in rg)
+            assert all(type(z) is complex for p in rg + skew for z in p)
+            ref_rg = _sample_disc_pairs_reference(
+                n, seed, lambda a, b: (r * (a + b), r * r * a * b)
+            )
+            ref_skew = _sample_disc_pairs_reference(n, seed, lambda a, b: (r * a, b))
+            assert _hex(rg) == _hex(ref_rg)
+            assert _hex(skew) == _hex(ref_skew)
+
+
+def test_samplers_refuse_negative_sizes():
+    for sample in (
+        lambda: domains.sample_rG(-3, 0.5, 1),
+        lambda: domains.sample_skew_bidisc(-1, 0.5, 1),
+        lambda: domains.sample_disc(-1, 0),
+    ):
+        with pytest.raises(InvalidParams, match="sample size"):
+            sample()
+
+
+def test_point_stack_shapes():
+    r = 0.5
+    for empty in ([], np.zeros(0), np.zeros((0, 2))):
+        stack, one = domains.point_stack(empty, r)
+        assert stack.shape == (0, 2) and not one
+    stack, one = domains.point_stack((0.1, 0.01), r)
+    assert stack.shape == (1, 2) and one
+    for bad in (np.zeros((0, 5)), np.zeros((0, 2, 2)), np.zeros(3), np.zeros((2, 3))):
+        with pytest.raises(ShapeMismatch):
+            domains.point_stack(bad, r)
+
+
+def _first_outside_reference(stack, r, member):
+    """The scalar membership loop point_stack replaced: index of the first point outside."""
+    for k, (z1, z2) in enumerate(stack.tolist()):
+        if not member((z1, z2), r, margin=0.0):
+            return k
+    return None
+
+
+def _adversarial_rG_points(r, rng):
+    """Points of C^2 crowding the boundary of r.G, as an (N, 2) stack (N = 225,000).
+
+    s = (z1 + z2, z1 z2) for roots z = r rho e^(i theta) whose larger modulus is
+    r on the boundary scaled by 1 +- 1e-7 and 1 +- 1e-13, or r (1 - eps) with
+    nearly equal roots and eps down to 1e-9, plus interior samples and
+    points of the bounding box of r.G.
+    """
+    m = 25_000
+    theta = rng.uniform(0, 2 * np.pi, (2, m))
+    small = rng.uniform(0, 1, m)
+    on_circle = r * np.exp(1j * theta[0])
+    inner = r * small * np.exp(1j * theta[1])
+    parts = []
+    for scale in (1 - 1e-7, 1 + 1e-7, 1 - 1e-13, 1 + 1e-13, 1.0):
+        z1, z2 = scale * on_circle, scale * inner
+        parts.append(np.column_stack([z1 + z2, z1 * z2]))
+    # Near-double roots: both moduli r (1 - eps), phases apart by up to 1e-4.
+    eps = 10.0 ** rng.uniform(-9, -3, m)
+    rho = r * (1 - eps)
+    z1 = rho * np.exp(1j * theta[0])
+    z2 = rho * np.exp(1j * (theta[0] + rng.uniform(-1e-4, 1e-4, m)))
+    parts.append(np.column_stack([z1 + z2, z1 * z2]))
+    z2 = rho * np.exp(1j * theta[1])
+    parts.append(np.column_stack([z1 + z2, z1 * z2]))
+    parts.append(np.array(domains.sample_rG(m, r, 7)))  # settled by the screen
+    box = rng.uniform(-1, 1, (m, 4)) * (2 * r, 2 * r, r * r, r * r)
+    parts.append(box[:, 0::2] + 1j * box[:, 1::2])
+    return np.concatenate(parts)
+
+
+@pytest.mark.parametrize("r", [1e-4, 0.3, 0.5, 0.9, 1 - 1e-6])
+def test_rG_screen_agrees_with_the_scalar_test(r):
+    """point_stack's verdict on each point (screened, else in_rG) is in_rG's verdict.
+
+    5 x 225,000 = 1,125,000 points in all.  Where the screen settles a point,
+    in_rG must accept it; every other point point_stack hands to in_rG itself.
+    """
+    rng = np.random.default_rng(int(r * 1e6))
+    pts = _adversarial_rG_points(r, rng)
+    verdict = np.fromiter(
+        (domains.in_rG((z1, z2), r, margin=0.0) for z1, z2 in pts.tolist()), bool, len(pts)
+    )
+    screened = domains._rG_screen(pts, r)
+    assert not np.any(screened & ~verdict)  # the screen never admits a point in_rG refuses
+    assert 0.2 < verdict.mean() < 0.8
+    assert screened[7 * 25_000 : 8 * 25_000].mean() > 0.99  # the sampled interior points
+    # point_stack names the first point the scalar loop refuses: 20,000 inside
+    # points with 40 outside points scattered among them, in blocks of about 400.
+    order = rng.permutation(len(pts))
+    inside, outside = order[verdict[order]][:20_000], order[~verdict[order]][:40]
+    mixed = np.insert(inside, rng.integers(0, len(inside), len(outside)), outside)
+    for block in np.array_split(mixed, 50):
+        refused = np.flatnonzero(~verdict[block])
+        if len(refused) == 0:
+            assert np.array_equal(domains.point_stack(pts[block], r)[0], pts[block])
+        else:
+            z1, z2 = pts[block[refused[0]]].tolist()
+            with pytest.raises(OutsideDomain, match=re.escape(f"point ({z1}, {z2}) is not")):
+                domains.point_stack(pts[block], r)
+
+
+def test_skew_bidisc_array_test_is_the_scalar_test():
+    r = 0.3
+    rng = np.random.default_rng(5)
+    m = 50_000
+    theta = rng.uniform(0, 2 * np.pi, (2, m))
+    scale = rng.choice([1 - 1e-16, 1.0, 1 + 1e-16, 0.5, 1.5], (2, m))
+    pts = np.column_stack([r * scale[0] * np.exp(1j * theta[0]), scale[1] * np.exp(1j * theta[1])])
+    pts[:10] = [[r, 0.0], [0.0, 1.0], [-r, 0.5j], [0.1, -1.0], [1j * r, 0.0]] * 2
+    verdict = [domains.in_skew_bidisc(p, r, margin=0.0) for p in pts.tolist()]
+    assert np.array_equal(domains._skew_bidisc_screen(pts, r), verdict)
+    k = _first_outside_reference(pts, r, domains.in_skew_bidisc)
+    z1, z2 = pts[k].tolist()
+    with pytest.raises(OutsideDomain, match=re.escape(f"point ({z1}, {z2}) is not in rD x D")):
+        domains.point_stack(pts, r, "rD x D")

@@ -28,6 +28,23 @@ def test_complex_rejects_malformed(obj):
         jsonio.complex_from_json(obj, "z")
 
 
+def test_integers_too_large_for_a_float_are_parse_errors():
+    huge = 10**400  # a 401-digit JSON integer
+    assert jsonio.complex_from_json({"re": 3, "im": -2}, "z") == 3 - 2j
+    for obj in ({"re": huge, "im": 0.0}, {"re": 0.0, "im": -huge}):
+        with pytest.raises(ParseError, match=r"z\.(re|im): integer too large"):
+            jsonio.complex_from_json(obj, "z")
+    assert jsonio._real_number(7, "x") == 7.0
+    with pytest.raises(ParseError, match="x: integer too large"):
+        jsonio._real_number(-huge, "x")
+    obj = jsonio.colligation_to_json(random_colligation(SubspaceSplit(1, 1), 0.5, seed=1))
+    with pytest.raises(ParseError, match=r"colligation\.r: integer too large"):
+        jsonio.colligation_from_json({**obj, "r": huge})
+    obj["U"][1][0]["im"] = huge
+    with pytest.raises(ParseError, match=r"colligation\.U\[1\]\[0\]\.im"):
+        jsonio.colligation_from_json(obj)
+
+
 def test_matrix_roundtrip_and_ragged():
     m = np.array([[1.0, 2.0j], [3.0, 4.0]], dtype=complex)
     back = jsonio.matrix_from_json(jsonio.matrix_to_json(m), "m")
