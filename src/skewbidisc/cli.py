@@ -30,7 +30,7 @@ import numpy as np
 from . import jsonio, linalg
 from .catalog import CATALOG_NAMES, catalog_campaign, named_params, rank_one_build
 from .colligation import SubspaceSplit, build_R, validate_colligation
-from .domains import in_rG, sample_rG, sample_skew_bidisc, sigma, upsilon
+from .domains import outside_points, sample_rG, sample_skew_bidisc, upsilon
 from .errors import (
     ConfigError,
     GramianMismatch,
@@ -45,7 +45,7 @@ from .kernels import (
 )
 from .realization import evaluate, realization_from_model, schur_certify
 from .synthesis import (
-    eval_w,
+    kernel_checks,
     model_f_eval,
     synthesis_sample_points,
     synthesize,
@@ -157,26 +157,7 @@ def cmd_synthesize(cfg: RunConfig) -> Report:
         ("isometry_agreement", rep["isometry_residual"], cfg.tol),
         ("u_unitarity", rep["u_unitarity"], cfg.tol),
     ]
-    # Kernel identity 1 - conj(F(mu)) F(lam) = <Z(lam, mu) w(lam), w(mu)> on a
-    # pair grid of interior points.  With a = (1 - r l2 U R^-1) w and
-    # b = (1 - l1 U R^-1) w, the product form of Z makes it the equality of
-    # the Gramians of [1; l1 R^-1 a; r l2 R^-1 b] and [F; a; b].
-    grid = sample_skew_bidisc(8, spec.r, cfg.seed + 1)
-    rinv = model.R.inv_matrix
-    kz_a, kz_b = [], []
-    for l1, l2 in grid:
-        w = eval_w(model, (l1, l2))
-        urinv_w = model.U @ (rinv @ w)
-        a = w - spec.r * l2 * urinv_w
-        b = w - l1 * urinv_w
-        kz_a.append(np.concatenate([[1.0], l1 * (rinv @ a), spec.r * l2 * (rinv @ b)]))
-        kz_b.append(np.concatenate([[spec.F.eval((l1, l2))], a, b]))
-    checks.append(("kernel_z_identity", linalg.gram_gap(kz_a, kz_b), 1e-9))
-    w_sym = max(
-        float(np.linalg.norm(eval_w(model, sigma(lam, spec.r)) - eval_w(model, lam)))
-        for lam in grid
-    )
-    checks.append(("w_symmetry", w_sym, 1e-9))
+    checks += kernel_checks(model, sample_skew_bidisc(8, spec.r, cfg.seed + 1))
     # Extract a colligation and round-trip the function values.
     gr_model = wrap_as_GrModel(model)
     fresh = sample_rG(4 * (model.dim + 1), spec.r, cfg.seed + 2)
@@ -185,7 +166,7 @@ def cmd_synthesize(cfg: RunConfig) -> Report:
     checks.append(("l_unitary", val.max_residual, 1e-8))
     rt_pts = sample_rG(50, spec.r, cfg.seed + 3)
     rt_f = evaluate(colligation, rt_pts)[1][0]
-    roundtrip = max(abs(f - model_f_eval(model, s)) for s, f in zip(rt_pts, rt_f))
+    roundtrip = float(np.max(np.abs(rt_f - model_f_eval(model, rt_pts))))
     checks.append(("roundtrip_f", roundtrip, 1e-8))
     if cfg.output_path is not None:
         jsonio.dump_json(jsonio.colligation_to_json(colligation), cfg.output_path)
@@ -240,8 +221,8 @@ def cmd_catalog(cfg: RunConfig) -> Report:
 def cmd_sample(cfg: RunConfig) -> Report:
     started = time.perf_counter()
     pts = sample_rG(cfg.samples, cfg.r, cfg.seed)
-    bad = sum(0 if in_rG(p, cfg.r, margin=0.0) else 1 for p in pts)
-    checks = [("membership", float(bad), 0.0)]
+    bad = outside_points(np.array(pts, dtype=complex).reshape(-1, 2), cfg.r)
+    checks = [("membership", float(len(bad)), 0.0)]
     if cfg.output_path is not None:
         jsonio.dump_json(jsonio.points_to_json(pts), cfg.output_path)
     return _finish("sample", checks, cfg.seed, cfg.samples, started)

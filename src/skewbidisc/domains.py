@@ -146,29 +146,39 @@ def in_skew_bidisc(lam: Sequence[complex], r: float, margin: float = MEMBERSHIP_
 def point_stack(p, r: float, domain: str = "r.G") -> tuple[np.ndarray, bool]:
     """One point (2,) or a stack (N, 2) as an (N, 2) complex array, every point checked.
 
-    ``domain`` is ``"r.G"`` or ``"rD x D"``, tested with margin 0.  Returns
-    the stack and whether ``p`` was a single point.  Raises ShapeMismatch
-    for any other shape and OutsideDomain naming the first point outside.
-
-    An array screen settles the points it can show to be inside: the exact
-    moduli test on ``rD x D`` and :func:`_rG_screen` on ``r.G``.  The scalar
-    test (``in_skew_bidisc`` or ``in_rG``) decides the rest, in order, and
-    alone decides a single point, for which it is the cheaper test.
+    Returns the stack and whether ``p`` was a single point.  Raises ShapeMismatch for
+    any other shape and OutsideDomain naming the first point :func:`outside_points` finds.
     """
+    stack, one = _as_stack(p)
+    bad = outside_points(stack, r, domain)
+    if bad:
+        z1, z2 = stack[bad[0]].tolist()
+        raise OutsideDomain(f"point ({z1}, {z2}) is not in {domain} for r={r}")
+    return stack, one
+
+
+def _as_stack(p) -> tuple[np.ndarray, bool]:
+    """One point (2,) or a stack (N, 2) as an (N, 2) complex array, and whether it was one point."""
     pts = np.asarray(p, dtype=complex)
     if not (pts.shape in ((2,), (0,)) or (pts.ndim == 2 and pts.shape[1] == 2)):
         raise ShapeMismatch(f"points must have shape (2,) or (N, 2), got {pts.shape}")
-    stack = pts.reshape(-1, 2)
+    return pts.reshape(-1, 2), pts.shape == (2,)
+
+
+def outside_points(stack: np.ndarray, r: float, domain: str = "r.G") -> list[int]:
+    """Indices, in order, of the points of an (N, 2) stack outside ``domain`` at margin 0.
+
+    ``domain`` is ``"r.G"`` or ``"rD x D"``.  An array screen settles the points it
+    shows to be inside: the exact moduli test on ``rD x D``, :func:`_rG_screen` on
+    ``r.G``.  The scalar ``in_skew_bidisc`` or ``in_rG`` decides the rest, and alone
+    decides a single point, for which it is the cheaper test.
+    """
     member, screen = {
         "r.G": (in_rG, _rG_screen),
         "rD x D": (in_skew_bidisc, _skew_bidisc_screen),
     }[domain]
     unsettled = [0] if len(stack) == 1 else np.flatnonzero(~screen(stack, r)).tolist()
-    for k in unsettled:
-        z1, z2 = stack[k].tolist()
-        if not member((z1, z2), r, margin=0.0):
-            raise OutsideDomain(f"point ({z1}, {z2}) is not in {domain} for r={r}")
-    return stack, pts.shape == (2,)
+    return [k for k in unsettled if not member(tuple(stack[k].tolist()), r, margin=0.0)]
 
 
 def _rG_screen(stack: np.ndarray, r: float) -> np.ndarray:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+from functools import partial
 from pathlib import Path
 from typing import Any
 
@@ -123,50 +124,28 @@ def colligation_from_json(obj: Any, where: str = "colligation") -> Colligation:
         raise ParseError(f"{where}: {exc}") from exc
 
 
-def _poly_vector_from_json(obj: Any, dim: int, where: str) -> PolyVectorMap:
+def _poly_from_json(parent: dict, key: str, where: str, coeff_from_json, make):
+    """``make(terms)`` for the {"j", "k", "coeff"} terms at ``parent[key]``, errors as ParseError."""
+    obj = _require(parent, key, where)
+    where = f"{where}.{key}"
     if not isinstance(obj, list):
         raise ParseError(f"{where}: expected an array of terms")
     terms = []
     for i, term in enumerate(obj):
+        at = f"{where}[{i}]"
         if not isinstance(term, dict):
-            raise ParseError(f"{where}[{i}]: expected an object")
-        j = _int_number(_require(term, "j", f"{where}[{i}]"), f"{where}[{i}].j")
-        k = _int_number(_require(term, "k", f"{where}[{i}]"), f"{where}[{i}].k")
-        coeff = vector_from_json(_require(term, "coeff", f"{where}[{i}]"), f"{where}[{i}].coeff")
-        terms.append(((j, k), coeff))
+            raise ParseError(f"{at}: expected an object")
+        j = _int_number(_require(term, "j", at), f"{at}.j")
+        k = _int_number(_require(term, "k", at), f"{at}.k")
+        terms.append(((j, k), coeff_from_json(_require(term, "coeff", at), f"{at}.coeff")))
     try:
-        return PolyVectorMap(dim=dim, terms=tuple(terms))
+        return make(tuple(terms))
     except Exception as exc:
         raise ParseError(f"{where}: {exc}") from exc
 
 
-def _poly_vector_to_json(pm: PolyVectorMap) -> list:
-    return [
-        {"j": j, "k": k, "coeff": vector_to_json(coeff)} for (j, k), coeff in pm.terms
-    ]
-
-
-def _scalar_poly_from_json(obj: Any, where: str) -> ScalarPoly:
-    if not isinstance(obj, list):
-        raise ParseError(f"{where}: expected an array of terms")
-    terms = []
-    for i, term in enumerate(obj):
-        if not isinstance(term, dict):
-            raise ParseError(f"{where}[{i}]: expected an object")
-        j = _int_number(_require(term, "j", f"{where}[{i}]"), f"{where}[{i}].j")
-        k = _int_number(_require(term, "k", f"{where}[{i}]"), f"{where}[{i}].k")
-        coeff = complex_from_json(_require(term, "coeff", f"{where}[{i}]"), f"{where}[{i}].coeff")
-        terms.append(((j, k), coeff))
-    try:
-        return ScalarPoly(terms=tuple(terms))
-    except Exception as exc:
-        raise ParseError(f"{where}: {exc}") from exc
-
-
-def _scalar_poly_to_json(sp: ScalarPoly) -> list:
-    return [
-        {"j": j, "k": k, "coeff": complex_to_json(c)} for (j, k), c in sp.terms
-    ]
+def _poly_to_json(poly, coeff_to_json) -> list:
+    return [{"j": j, "k": k, "coeff": coeff_to_json(c)} for (j, k), c in poly.terms]
 
 
 def model_spec_to_json(spec: BidiscModelSpec) -> dict:
@@ -174,9 +153,9 @@ def model_spec_to_json(spec: BidiscModelSpec) -> dict:
         "r": spec.r,
         "d1": spec.d1,
         "d2": spec.d2,
-        "u1": _poly_vector_to_json(spec.u1),
-        "u2": _poly_vector_to_json(spec.u2),
-        "F": _scalar_poly_to_json(spec.F),
+        "u1": _poly_to_json(spec.u1, vector_to_json),
+        "u2": _poly_to_json(spec.u2, vector_to_json),
+        "F": _poly_to_json(spec.F, complex_to_json),
     }
 
 
@@ -186,9 +165,9 @@ def model_spec_from_json(obj: Any, where: str = "model spec") -> BidiscModelSpec
     r = _real_number(_require(obj, "r", where), f"{where}.r")
     d1 = _int_number(_require(obj, "d1", where), f"{where}.d1")
     d2 = _int_number(_require(obj, "d2", where), f"{where}.d2")
-    u1 = _poly_vector_from_json(_require(obj, "u1", where), d1, f"{where}.u1")
-    u2 = _poly_vector_from_json(_require(obj, "u2", where), d2, f"{where}.u2")
-    f_poly = _scalar_poly_from_json(_require(obj, "F", where), f"{where}.F")
+    u1 = _poly_from_json(obj, "u1", where, vector_from_json, partial(PolyVectorMap, d1))
+    u2 = _poly_from_json(obj, "u2", where, vector_from_json, partial(PolyVectorMap, d2))
+    f_poly = _poly_from_json(obj, "F", where, complex_from_json, ScalarPoly)
     try:
         return BidiscModelSpec(r=r, d1=d1, d2=d2, u1=u1, u2=u2, F=f_poly)
     except Exception as exc:

@@ -26,14 +26,12 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
-
 import numpy as np
 
 from . import linalg
 from .colligation import ROperator, s_UR
-from .domains import in_bidisc, pi_map, point_stack, t_r
-from .errors import InvalidParams, OutsideDomain, ShapeMismatch
+from .domains import pi_map, point_stack, t_r
+from .errors import InvalidParams, ShapeMismatch
 
 
 @dataclass(eq=False, frozen=True)
@@ -146,32 +144,3 @@ def factorization_residual(ctx: KernelContext, s, t):
 def hermitian_symmetry_residual(ctx: KernelContext, s, t):
     """Defect of Y(s, t)* = Y(t, s), a consequence of the factorization."""
     return linalg.spectral_norm(_y(ctx, s, t).conj().swapaxes(1, 2) - _y(ctx, t, s))
-
-
-def bidisc_model_residual(
-    u1_eval: Callable[[Sequence[complex]], np.ndarray],
-    u2_eval: Callable[[Sequence[complex]], np.ndarray],
-    phi_eval: Callable[[Sequence[complex]], complex],
-    lam: Sequence[complex],
-    mu: Sequence[complex],
-) -> float:
-    """Defect of the two-disc model identity at a pair of bidisc points.
-
-    Measures |1 - conj(phi(mu)) phi(lam)
-    - (1 - conj(mu1) lam1) <u1(lam), u1(mu)> - (1 - conj(mu2) lam2) <u2(lam), u2(mu)>|.
-    """
-    if not in_bidisc(lam, margin=0.0):
-        raise OutsideDomain(f"first point {tuple(lam)} is not in the bidisc")
-    if not in_bidisc(mu, margin=0.0):
-        raise OutsideDomain(f"second point {tuple(mu)} is not in the bidisc")
-    l1, l2 = complex(lam[0]), complex(lam[1])
-    m1, m2 = complex(mu[0]), complex(mu[1])
-    lhs = 1.0 - complex(phi_eval(mu)).conjugate() * complex(phi_eval(lam))
-    u1_l = linalg.as_vector(u1_eval(lam), "u1(lam)")
-    u1_m = linalg.as_vector(u1_eval(mu), "u1(mu)")
-    u2_l = linalg.as_vector(u2_eval(lam), "u2(lam)")
-    u2_m = linalg.as_vector(u2_eval(mu), "u2(mu)")
-    rhs = (1.0 - m1.conjugate() * l1) * np.vdot(u1_m, u1_l) + (
-        1.0 - m2.conjugate() * l2
-    ) * np.vdot(u2_m, u2_l)
-    return abs(lhs - rhs)

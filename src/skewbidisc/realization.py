@@ -27,7 +27,7 @@ import numpy as np
 
 from . import linalg
 from .colligation import Colligation, ROperator, s_T, s_UR, validate_colligation
-from .domains import Point2, check_r, point_stack, sample_rG
+from .domains import Point2, _as_stack, check_r, point_stack, sample_rG
 from .errors import InsufficientSamples, InvalidParams, NotInvertible, ShapeMismatch
 
 Evaluator = Callable[[Sequence[complex]], np.ndarray]
@@ -38,8 +38,9 @@ ScalarEvaluator = Callable[[Sequence[complex]], complex]
 class GrModel:
     """A function on r.G presented through a model map into C^dim.
 
-    ``u_eval`` and ``f_eval`` must jointly satisfy the model identity with
-    respect to the fraction built from (U, R); nothing is checked at
+    At an (N, 2) stack of points of r.G, ``u_eval`` gives the (N, dim) model
+    vectors as rows and ``f_eval`` the (N,) values.  The two must jointly satisfy
+    the model identity for the fraction built from (U, R); nothing is checked at
     construction, :func:`realization_from_model` verifies before it builds.
     """
 
@@ -79,13 +80,17 @@ def evaluate(c: Colligation, pts) -> tuple[np.ndarray, np.ndarray]:
 
 
 def eval_u(c: Colligation, s) -> np.ndarray:
-    """The model map u(s) = (1 - D s_{U,R})^{-1} gamma of a colligation."""
-    return evaluate(c, [s])[1][1:, 0]
+    """The model map u(s) = (1 - D s_{U,R})^{-1} gamma: (n,) at one point, (N, n) at a stack."""
+    one = np.shape(s) == (2,)
+    u = evaluate(c, [s] if one else s)[1][1:].T
+    return u[0] if one else u
 
 
-def eval_f(c: Colligation, s) -> complex:
-    """The realized function a + <s_{U,R} u(s), beta>."""
-    return complex(evaluate(c, [s])[1][0, 0])
+def eval_f(c: Colligation, s):
+    """The realized function a + <s_{U,R} u(s), beta>: a complex, or (N,) at a stack."""
+    one = np.shape(s) == (2,)
+    f = evaluate(c, [s] if one else s)[1][0]
+    return complex(f[0]) if one else f
 
 
 def model_residual(c: Colligation, s, t) -> float:
@@ -124,13 +129,23 @@ def schur_certify(
     )
 
 
-def model_families(m: GrModel, pts: Sequence[Point2]) -> tuple[np.ndarray, np.ndarray]:
-    """The families of :func:`evaluate` for a model; u and f from its evaluators."""
-    frac = s_UR(pts, m.U, m.R)
-    u = np.array([linalg.as_vector(m.u_eval(s), "u(s)") for s in pts]).reshape(len(pts), m.dim)
-    f = np.array([m.f_eval(s) for s in pts], dtype=complex)
+def model_families(m: GrModel, pts) -> tuple[np.ndarray, np.ndarray]:
+    """The families of :func:`evaluate` for a model, from one call of each of its maps.
+
+    Raises ShapeMismatch on values of the wrong shape or non-finite values.
+    """
+    stack, _ = _as_stack(pts)
+    frac = s_UR(stack, m.U, m.R)
+    n = len(stack)
+    u = np.asarray(m.u_eval(stack), dtype=complex)
+    f = np.asarray(m.f_eval(stack), dtype=complex)
+    finite = np.isfinite(u).all() and np.isfinite(f).all()
+    if u.shape != (n, m.dim) or f.shape != (n,) or not finite:
+        raise ShapeMismatch(
+            f"model maps gave u {u.shape} and f {f.shape} at {n} points, or non-finite values"
+        )
     su = (frac @ u[:, :, None])[:, :, 0]
-    return np.vstack([np.ones((1, len(pts))), su.T]), np.vstack([f[None, :], u.T])
+    return np.vstack([np.ones((1, n)), su.T]), np.vstack([f[None, :], u.T])
 
 
 def realization_from_model(

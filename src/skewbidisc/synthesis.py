@@ -17,7 +17,8 @@ maps
     u(s)   = (1/sqrt 2)(2 - s1 U R^{-1}) x(s)
 
 then satisfy the kernel and model identities on r.G, which the test suite
-and the CLI verify numerically.
+and the CLI verify numerically.  Every map takes one point, giving its
+value, or an (N, 2) stack of points, giving the N values stacked.
 """
 
 from __future__ import annotations
@@ -32,11 +33,12 @@ from . import linalg
 from .colligation import ROperator, SubspaceSplit, build_R
 from .domains import (
     Point2,
+    _as_stack,
+    _check_size,
     check_r,
     point_stack,
     quad_roots,
     sample_skew_bidisc,
-    sigma,
 )
 from .errors import (
     GramianMismatch,
@@ -53,13 +55,33 @@ SQRT2 = math.sqrt(2.0)
 VALIDATION_SEED = 1105
 VALIDATION_GRID_SIZE = 12
 
+def _exponents(j, k) -> tuple[int, int]:
+    """A term's exponents as ints; numpy takes integer powers only for exponents of int64."""
+    j, k = int(j), int(k)
+    if min(j, k) < 0 or max(j, k) > np.iinfo(np.int64).max:
+        raise InvalidParams("exponents must be nonnegative and fit in int64")
+    return j, k
+
+
+def _poly_eval(terms, lam, shape: tuple) -> tuple[np.ndarray, bool]:
+    """The terms summed at one point or an (N, 2) stack: the (N,) + shape values and
+    whether ``lam`` was one point.  Each power a term uses is computed once per stack."""
+    pts, one = _as_stack(lam)
+    p1 = {j: pts[:, 0] ** j for j in {j for (j, _), _ in terms}}
+    p2 = {k: pts[:, 1] ** k for k in {k for (_, k), _ in terms}}
+    out = np.zeros((len(pts),) + shape, dtype=complex)
+    for (j, k), coeff in terms:
+        out += np.multiply.outer(p1[j] * p2[k], coeff)
+    return out, one
+
 
 @dataclass(eq=False, frozen=True)
 class PolyVectorMap:
     """A vector-valued polynomial sum of coeff * l1^j l2^k terms.
 
-    Any object with a compatible ``eval`` and ``dim`` can stand in for one
-    wherever the synthesis pipeline expects a model map.
+    ``eval`` gives a (dim,) vector at one point and the (N, dim) rows at an
+    (N, 2) stack.  Any object with such an ``eval`` and a ``dim`` can stand
+    in for one wherever the synthesis pipeline expects a model map.
     """
 
     dim: int
@@ -70,41 +92,34 @@ class PolyVectorMap:
             raise InvalidParams(f"map dimension must be >= 1, got {self.dim}")
         coerced = []
         for (j, k), coeff in self.terms:
-            if j < 0 or k < 0:
-                raise InvalidParams(f"negative exponents ({j}, {k})")
+            j, k = _exponents(j, k)
             vec = linalg.as_vector(coeff, "coefficient")
             if vec.shape[0] != self.dim:
                 raise ShapeMismatch(
                     f"coefficient of l1^{j} l2^{k} has dim {vec.shape[0]}, expected {self.dim}"
                 )
-            coerced.append(((int(j), int(k)), vec))
+            coerced.append(((j, k), vec))
         object.__setattr__(self, "terms", tuple(coerced))
 
-    def eval(self, lam: Sequence[complex]) -> np.ndarray:
-        l1, l2 = complex(lam[0]), complex(lam[1])
-        out = np.zeros(self.dim, dtype=complex)
-        for (j, k), coeff in self.terms:
-            out += (l1**j) * (l2**k) * coeff
-        return out
+    def eval(self, lam) -> np.ndarray:
+        out, one = _poly_eval(self.terms, lam, (self.dim,))
+        return out[0] if one else out
 
 
 @dataclass(eq=False, frozen=True)
 class ScalarPoly:
-    """A scalar polynomial in (l1, l2) given by a finite list of terms."""
+    """A scalar polynomial in (l1, l2) given by a finite list of terms; ``eval``
+    gives a complex at one point and the (N,) values at an (N, 2) stack."""
 
     terms: tuple[tuple[tuple[int, int], complex], ...]
 
     def __post_init__(self):
-        coerced = []
-        for (j, k), coeff in self.terms:
-            if j < 0 or k < 0:
-                raise InvalidParams(f"negative exponents ({j}, {k})")
-            coerced.append(((int(j), int(k)), complex(coeff)))
+        coerced = [(_exponents(j, k), complex(coeff)) for (j, k), coeff in self.terms]
         object.__setattr__(self, "terms", tuple(coerced))
 
-    def eval(self, lam: Sequence[complex]) -> complex:
-        l1, l2 = complex(lam[0]), complex(lam[1])
-        return sum((l1**j) * (l2**k) * c for (j, k), c in self.terms) + 0j
+    def eval(self, lam):
+        out, one = _poly_eval(self.terms, lam, ())
+        return complex(out[0]) if one else out
 
 
 @dataclass(eq=False, frozen=True)
@@ -132,24 +147,20 @@ class BidiscModelSpec:
         return self.d1 + self.d2
 
 
-def eval_v(spec: BidiscModelSpec, lam: Sequence[complex]) -> np.ndarray:
-    """The stacked vector (1/sqrt 2)[u1(lam); u2(sigma(lam))] on rD x D."""
-    point_stack(lam, spec.r, "rD x D")
-    lam_s = sigma(lam, spec.r)
-    return np.concatenate([spec.u1.eval(lam), spec.u2.eval(lam_s)]) / SQRT2
+def _sigma(lam: np.ndarray, r: float) -> np.ndarray:
+    """:func:`domains.sigma` on an (N, 2) stack."""
+    return np.column_stack([r * lam[:, 1], lam[:, 0] / r])
 
 
-def _gram_families(spec: BidiscModelSpec, pts: Sequence[Point2], rinv: np.ndarray):
-    """Stack the two Gramian families as matrix columns."""
-    a_cols = []
-    b_cols = []
-    for lam in pts:
-        l1, l2 = complex(lam[0]), complex(lam[1])
-        v_here = eval_v(spec, lam)
-        v_sig = eval_v(spec, sigma(lam, spec.r))
-        a_cols.append(rinv @ (l1 * v_here - spec.r * l2 * v_sig))
-        b_cols.append(v_here - v_sig)
-    return np.column_stack(a_cols), np.column_stack(b_cols)
+def _v(spec: BidiscModelSpec, lam: np.ndarray) -> np.ndarray:
+    return np.hstack([spec.u1.eval(lam), spec.u2.eval(_sigma(lam, spec.r))]) / SQRT2
+
+
+def eval_v(spec: BidiscModelSpec, lam) -> np.ndarray:
+    """The vector (1/sqrt 2)[u1(lam); u2(sigma(lam))] on rD x D."""
+    pts, one = point_stack(lam, spec.r, "rD x D")
+    v = _v(spec, pts)
+    return v[0] if one else v
 
 
 def synthesis_sample_points(n: int, r: float, scale: float = 0.8) -> list[Point2]:
@@ -161,36 +172,33 @@ def synthesis_sample_points(n: int, r: float, scale: float = 0.8) -> list[Point2
     inverse in the pipeline comfortably conditioned.
     """
     check_r(r)
+    _check_size(n)
     if not 0.0 < scale <= 1.0:
         raise InvalidParams(f"scale must lie in (0, 1], got {scale}")
     # Root of x**5 = x + 1, the 4-dimensional generalization of the golden ratio.
     phi = 1.1673039782614187
     alphas = np.array([phi ** -(j + 1) for j in range(4)])
-    pts: list[Point2] = []
-    for i in range(1, n + 1):
-        t = (0.5 + i * alphas) % 1.0
-        rad1 = r * scale * math.sqrt(t[0])
-        rad2 = scale * math.sqrt(t[2])
-        l1 = rad1 * np.exp(2j * np.pi * t[1])
-        l2 = rad2 * np.exp(2j * np.pi * t[3])
-        pts.append((complex(l1), complex(l2)))
-    return pts
+    t = (0.5 + np.arange(1, n + 1)[:, None] * alphas) % 1.0
+    l1 = r * scale * np.sqrt(t[:, 0]) * np.exp(2j * np.pi * t[:, 1])
+    l2 = scale * np.sqrt(t[:, 2]) * np.exp(2j * np.pi * t[:, 3])
+    return list(zip(l1.tolist(), l2.tolist()))
 
 
-def _spec_precheck(spec: BidiscModelSpec, pts: Sequence[Point2]) -> tuple[float, float]:
-    """Max symmetry and model-identity residuals of the spec over a point set.
+def _spec_precheck(spec: BidiscModelSpec, lam) -> tuple[float, float]:
+    """Max symmetry and model-identity residuals of the spec over a point stack.
 
     On all pairs of points the two-disc model identity is the equality of the
     Gramians of [1; l1 u1(lam); l2 u2(lam)] and [F(lam); u1(lam); u2(lam)].
     """
-    f_vals = [spec.F.eval(lam) for lam in pts]
-    max_sym = max(abs(spec.F.eval(sigma(lam, spec.r)) - f) for lam, f in zip(pts, f_vals))
-    a_cols, b_cols = [], []
-    for lam, f in zip(pts, f_vals):
-        u1, u2 = spec.u1.eval(lam), spec.u2.eval(lam)
-        a_cols.append(np.concatenate([[1.0], lam[0] * u1, lam[1] * u2]))
-        b_cols.append(np.concatenate([[f], u1, u2]))
-    return max_sym, linalg.gram_gap(a_cols, b_cols)
+    lam = np.asarray(lam, dtype=complex)
+    f = spec.F.eval(lam)
+    sym = spec.F.eval(_sigma(lam, spec.r)) - f
+    u1, u2 = spec.u1.eval(lam), spec.u2.eval(lam)
+    a_fam = np.column_stack([np.ones(len(lam)), lam[:, :1] * u1, lam[:, 1:] * u2])
+    b_fam = np.column_stack([f, u1, u2])
+    # hypot is the modulus Python's abs takes; np.abs can differ in the last bit.
+    max_sym = float(np.max(np.hypot(sym.real, sym.imag)))
+    return max_sym, linalg.gram_gap(a_fam.T, b_fam.T)
 
 
 @dataclass(eq=False, frozen=True)
@@ -219,13 +227,13 @@ def synthesize(
 
     Raises InsufficientSamples when fewer than 2 (d1 + d2) points are given.
     """
-    pts = [tuple(p) for p in point_stack(sample_pts, spec.r, "rD x D")[0].tolist()]
+    pts, _ = point_stack(sample_pts, spec.r, "rD x D")
     if len(pts) < 2 * spec.dim:
         raise InsufficientSamples(
             f"{len(pts)} samples for dimension {spec.dim}; need at least {2 * spec.dim}"
         )
     grid = sample_skew_bidisc(VALIDATION_GRID_SIZE, spec.r, VALIDATION_SEED)
-    max_sym, max_model = _spec_precheck(spec, pts + grid)
+    max_sym, max_model = _spec_precheck(spec, np.concatenate([pts, grid]))
     if max_sym > tol:
         raise GramianMismatch(
             f"sigma-symmetry of F fails: residual {max_sym:.3e} > {tol:.1e}",
@@ -238,9 +246,10 @@ def synthesize(
             residual=max_model,
             check="bidisc_model",
         )
-    split = SubspaceSplit(spec.d1, spec.d2)
-    r_op = build_R(split, spec.r)
-    a_mat, b_mat = _gram_families(spec, pts, r_op.inv_matrix)
+    r_op = build_R(SubspaceSplit(spec.d1, spec.d2), spec.r)
+    v_here, v_sig = _v(spec, pts), _v(spec, _sigma(pts, spec.r))
+    a_mat = r_op.inv_matrix @ (pts[:, :1] * v_here - spec.r * pts[:, 1:] * v_sig).T
+    b_mat = (v_here - v_sig).T
     isom = linalg.isometry_from_gramians(a_mat, b_mat, tol)
     u = linalg.unitary_extension(isom, spec.dim)
     report = {
@@ -255,47 +264,78 @@ def synthesize(
     return SynthesizedModel(dim=spec.dim, U=u, R=r_op, spec=spec, residual_report=report)
 
 
-def eval_w(m: SynthesizedModel, lam: Sequence[complex]) -> np.ndarray:
-    """w(lam) = (1 - r l2 U R^{-1})^{-1} v(lam); symmetric under sigma."""
-    v = eval_v(m.spec, lam)  # refuses lam outside rD x D
-    l2 = complex(lam[1])
-    mat = np.eye(m.dim) - m.spec.r * l2 * m.U @ m.R.inv_matrix
-    try:
-        return np.linalg.solve(mat, v)
-    except np.linalg.LinAlgError as exc:  # ||r l2 U R^{-1}|| = |l2| < 1 in-domain
-        raise NotInvertible(f"resolvent singular at {tuple(lam)}") from exc
-
-
-def eval_x(m: SynthesizedModel, s: Sequence[complex]) -> np.ndarray:
-    """x(s) = w at a root preimage of s; the assignment drops out by symmetry."""
-    point_stack(s, m.spec.r)
-    rho1, rho2 = quad_roots(s)
-    return eval_w(m, (rho1, rho2 / m.spec.r))
-
-
-def eval_u_model(m: SynthesizedModel, s: Sequence[complex]) -> np.ndarray:
-    """u(s) = (1/sqrt 2)(2 - s1 U R^{-1}) x(s) on r.G."""
-    x = eval_x(m, s)
-    s1 = complex(s[0])
-    return (2.0 * x - s1 * (m.U @ (m.R.inv_matrix @ x))) / SQRT2
-
-
-def intertwining_residual(m: SynthesizedModel, lam: Sequence[complex]) -> float:
-    """Defect of (1 - l1 U R^{-1}) v(lam) = (1 - r l2 U R^{-1}) v(sigma(lam))."""
-    l1, l2 = complex(lam[0]), complex(lam[1])
+def _w(m: SynthesizedModel, lam: np.ndarray) -> np.ndarray:
+    """w at each point of a checked rD x D stack, as rows: one batched solve per block."""
+    v = _v(m.spec, lam)
     urinv = m.U @ m.R.inv_matrix
-    v_here = eval_v(m.spec, lam)
-    v_sig = eval_v(m.spec, sigma(lam, m.spec.r))
-    lhs = v_here - l1 * urinv @ v_here
-    rhs = v_sig - m.spec.r * l2 * urinv @ v_sig
-    return float(np.linalg.norm(lhs - rhs))
+    w = np.empty_like(v)
+    for b in linalg.blocks(len(lam), m.dim):
+        mats = np.eye(m.dim) - (m.spec.r * lam[b, 1])[:, None, None] * urinv
+        try:
+            w[b] = np.linalg.solve(mats, v[b, :, None])[:, :, 0]
+        except np.linalg.LinAlgError as exc:  # ||r l2 U R^{-1}|| = |l2| < 1 in-domain
+            k = int(np.argmax(np.linalg.det(mats) == 0.0))  # the LU with a zero pivot
+            raise NotInvertible(f"resolvent singular at {tuple(lam[b][k].tolist())}") from exc
+    return w
 
 
-def model_f_eval(m: SynthesizedModel, s: Sequence[complex]) -> complex:
+def eval_w(m: SynthesizedModel, lam) -> np.ndarray:
+    """w(lam) = (1 - r l2 U R^{-1})^{-1} v(lam); symmetric under sigma."""
+    pts, one = point_stack(lam, m.spec.r, "rD x D")
+    w = _w(m, pts)
+    return w[0] if one else w
+
+
+def _preimages(s: np.ndarray, r: float) -> np.ndarray:
+    """The root preimage (rho1, rho2 / r) in rD x D of each point of a checked r.G stack."""
+    lam = [(rho1, rho2 / r) for rho1, rho2 in map(quad_roots, s.tolist())]
+    return np.array(lam, dtype=complex).reshape(-1, 2)
+
+
+def eval_x(m: SynthesizedModel, s) -> np.ndarray:
+    """x(s) = w at a root preimage of s; the assignment drops out by symmetry."""
+    pts, one = point_stack(s, m.spec.r)
+    x = _w(m, _preimages(pts, m.spec.r))
+    return x[0] if one else x
+
+
+def eval_u_model(m: SynthesizedModel, s) -> np.ndarray:
+    """u(s) = (1/sqrt 2)(2 - s1 U R^{-1}) x(s) on r.G."""
+    pts, one = point_stack(s, m.spec.r)
+    x = _w(m, _preimages(pts, m.spec.r))
+    u = (2.0 * x - pts[:, :1] * (x @ (m.U @ m.R.inv_matrix).T)) / SQRT2
+    return u[0] if one else u
+
+
+def model_f_eval(m: SynthesizedModel, s):
     """F at either root preimage of s; well defined by sigma-symmetry."""
-    point_stack(s, m.spec.r)
-    rho1, rho2 = quad_roots(s)
-    return m.spec.F.eval((rho1, rho2 / m.spec.r))
+    pts, one = point_stack(s, m.spec.r)
+    f = m.spec.F.eval(_preimages(pts, m.spec.r))
+    return complex(f[0]) if one else f
+
+
+def kernel_checks(m: SynthesizedModel, lam) -> list[tuple[str, float, float]]:
+    """Checks ``(name, residual, threshold)`` of w on the pair grid of a stack of rD x D.
+
+    ``kernel_z_identity`` is 1 - conj(F(mu)) F(lam) = <Z(lam, mu) w(lam), w(mu)>.
+    With a = (1 - r l2 U R^-1) w and b = (1 - l1 U R^-1) w, the product form of
+    Z makes it the equality of the Gramians of [1; l1 R^-1 a; r l2 R^-1 b] and
+    [F; a; b].  ``w_symmetry`` is the largest |w(sigma(lam)) - w(lam)|.
+    """
+    r = m.spec.r
+    lam, _ = point_stack(lam, r, "rD x D")
+    w = _w(m, lam)
+    rinv = m.R.inv_matrix
+    urinv_w = w @ (m.U @ rinv).T
+    l1, rl2 = lam[:, :1], r * lam[:, 1:]
+    a, b = w - rl2 * urinv_w, w - l1 * urinv_w
+    a_fam = np.column_stack([np.ones(len(lam)), l1 * (a @ rinv.T), rl2 * (b @ rinv.T)])
+    b_fam = np.column_stack([m.spec.F.eval(lam), a, b])
+    w_sym = np.linalg.norm(_w(m, _sigma(lam, r)) - w, axis=1)
+    return [
+        ("kernel_z_identity", linalg.gram_gap(a_fam.T, b_fam.T), 1e-9),
+        ("w_symmetry", float(np.max(w_sym, initial=0.0)), 1e-9),
+    ]
 
 
 def wrap_as_GrModel(m: SynthesizedModel) -> GrModel:

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from skewbidisc import jsonio
+from skewbidisc import domains, jsonio
 from skewbidisc.cli import run
 from skewbidisc.colligation import Colligation, SubspaceSplit, random_colligation
 from skewbidisc.domains import in_rG
@@ -144,6 +144,26 @@ def test_sample_command_roundtrip(capsys, tmp_path):
     pts = jsonio.points_from_json(jsonio.load_json(out_path))
     assert len(pts) == 40
     assert all(in_rG(p, 0.9, margin=0.0) for p in pts)
+
+
+def test_sample_counts_every_point_outside(capsys, monkeypatch):
+    from skewbidisc import cli
+
+    inside = domains.sample_rG(5, 0.5, seed=0)
+    pts = inside[:2] + [(0.99, 0.0)] + inside[2:] + [(0.0, 0.3)]  # two points outside r.G
+    monkeypatch.setattr(cli, "sample_rG", lambda n, r, seed: pts)
+    code, report = _run_json(capsys, ["sample", "--samples", "7"])
+    assert code == 1
+    assert report["checks"] == [["membership", 2.0, 0.0]]
+
+
+def test_synthesize_exits_2_on_an_exponent_too_large(capsys, spec_file, tmp_path):
+    obj = json.loads(spec_file.read_text())
+    obj["F"][0]["j"] = 10**400
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(obj))
+    assert run(["synthesize", "--input", str(path)]) == 2
+    assert "int64" in capsys.readouterr().err
 
 
 def test_exit_code_2_on_parse_error(capsys, tmp_path):

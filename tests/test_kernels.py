@@ -6,7 +6,6 @@ from skewbidisc.colligation import SubspaceSplit, build_R
 from skewbidisc.errors import InvalidParams, OutsideDomain, ShapeMismatch
 from skewbidisc.kernels import (
     KernelContext,
-    bidisc_model_residual,
     factorization_residual,
     hermitian_symmetry_residual,
     kernel_Y,
@@ -257,37 +256,3 @@ def test_stacked_kernels_against_50_digit_oracle(r):
         ) * (eye - rr * rr * m2 * l2 * rinv2) * (eye - l1 * u * rinv)
         assert gap(ys[k], y) <= 1e-12
         assert gap(zs[k], z) <= 1e-12
-
-
-def _lambda12_maps():
-    u1 = lambda lam: np.array([1.0 + 0.0j])
-    u2 = lambda lam: np.array([lam[0]], dtype=complex)
-    phi = lambda lam: lam[0] * lam[1]
-    return u1, u2, phi
-
-
-def test_bidisc_model_residual_for_product_function():
-    # u1 = 1, u2 = lam1 and phi = lam1 lam2 satisfy the two-variable model
-    # identity exactly, so the residual is pure roundoff.
-    u1, u2, phi = _lambda12_maps()
-    r = 0.5
-    pts = domains.sample_skew_bidisc(40, r, seed=10)
-    pts = [(lam[0] / r, lam[1]) for lam in pts]  # stretch onto the full bidisc
-    worst = max(
-        bidisc_model_residual(u1, u2, phi, lam, mu)
-        for lam, mu in zip(pts[:20], pts[20:])
-    )
-    assert worst < 1e-13
-
-
-def test_bidisc_model_residual_detects_wrong_function():
-    u1, u2, _ = _lambda12_maps()
-    wrong = lambda lam: lam[0]
-    res = bidisc_model_residual(u1, u2, wrong, (0.3, 0.4), (0.1, -0.2))
-    assert res > 1e-3
-
-
-def test_bidisc_model_residual_domain_guard():
-    u1, u2, phi = _lambda12_maps()
-    with pytest.raises(OutsideDomain):
-        bidisc_model_residual(u1, u2, phi, (1.2, 0.0), (0.0, 0.0))

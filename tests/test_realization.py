@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,7 @@ from skewbidisc.realization import (
     eval_f,
     eval_u,
     evaluate,
+    model_families,
     model_residual,
     realization_from_model,
     scaled_model_residual,
@@ -231,6 +234,38 @@ def _model_from(c: Colligation) -> GrModel:
         u_eval=lambda s: eval_u(c, s),
         f_eval=lambda s: eval_f(c, s),
     )
+
+
+@pytest.mark.parametrize("k", [1, 3, 6])
+@pytest.mark.parametrize("r", [1e-3, 0.5, 0.999])
+def test_stacked_eval_u_and_eval_f_match_one_point_formulas(k, r, monkeypatch):
+    c = random_colligation(SubspaceSplit(k, k), r, seed=65)
+    monkeypatch.setattr(linalg, "BLOCK_ENTRIES", 5 * c.dim**2)  # blocks of 5 points
+    pts = np.array(domains.sample_rG(23, r, seed=66))
+    u_ref = np.array([_u_reference(c, s) for s in pts.tolist()])
+    f_ref = np.array([_f_reference(c, s) for s in pts.tolist()])
+    for n in (0, 1, 23):
+        u, f = eval_u(c, pts[:n]), eval_f(c, pts[:n])
+        assert u.shape == (n, c.dim) and f.shape == (n,)
+        assert np.max(np.abs(u - u_ref[:n]), initial=0.0) <= DIFF_TOL
+        assert np.max(np.abs(f - f_ref[:n]), initial=0.0) <= DIFF_TOL
+    s = tuple(pts[0].tolist())
+    assert eval_u(c, s).shape == (c.dim,) and type(eval_f(c, s)) is complex
+
+
+def test_model_families_refuses_bad_model_values():
+    c = random_colligation(SubspaceSplit(1, 2), R_DEFAULT, seed=63)
+    pts = domains.sample_rG(6, R_DEFAULT, seed=64)
+    good = _model_from(c)
+    for bad in (
+        replace(good, u_eval=lambda s: eval_u(c, s)[:, :2]),
+        replace(good, u_eval=lambda s: eval_u(c, s[0])),
+        replace(good, f_eval=lambda s: eval_f(c, s)[:-1]),
+        replace(good, u_eval=lambda s: np.inf * eval_u(c, s)),
+        replace(good, f_eval=lambda s: np.full(len(s), np.nan)),
+    ):
+        with pytest.raises(ShapeMismatch):
+            model_families(bad, pts)
 
 
 def test_realization_roundtrip():

@@ -1,4 +1,6 @@
 import json
+import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -6,15 +8,16 @@ import pytest
 
 from skewbidisc import domains, jsonio, linalg
 from skewbidisc.cli import run
-from skewbidisc.colligation import SubspaceSplit, random_colligation
+from skewbidisc.colligation import SubspaceSplit, build_R, random_colligation
 from skewbidisc.errors import (
     GramianMismatch,
     InsufficientSamples,
     InvalidParams,
+    NotInvertible,
     OutsideDomain,
     ShapeMismatch,
 )
-from skewbidisc.kernels import KernelContext, bidisc_model_residual, kernel_Z
+from skewbidisc.kernels import KernelContext, kernel_Z
 from skewbidisc.realization import (
     GrModel,
     eval_f,
@@ -29,12 +32,13 @@ from skewbidisc.synthesis import (
     BidiscModelSpec,
     PolyVectorMap,
     ScalarPoly,
+    SynthesizedModel,
     _spec_precheck,
     eval_u_model,
     eval_v,
     eval_w,
     eval_x,
-    intertwining_residual,
+    kernel_checks,
     model_f_eval,
     synthesis_sample_points,
     synthesize,
@@ -72,6 +76,18 @@ def test_scalar_poly_eval():
     assert p.eval((0.3, 0.5)) == pytest.approx(0.15 - 2.0)
     with pytest.raises(InvalidParams):
         ScalarPoly((((0, -2), 1.0),))
+
+
+def test_exponents_must_fit_in_int64():
+    maps = (
+        lambda j: PolyVectorMap(dim=1, terms=(((j, 0), np.array([1.0])),)),
+        lambda j: ScalarPoly((((0, j), 1.0),)),
+    )
+    for make in maps:
+        for huge in (2**63, 10**400):
+            with pytest.raises(InvalidParams, match="int64"):
+                make(huge)
+        assert np.all(make(2**63 - 1).eval([[0.5, 0.5], [0.0, 0.0]]) == 0.0)
 
 
 def test_spec_dimension_checks(lambda12_spec):
@@ -161,6 +177,17 @@ def test_synthesize_rejects_small_constant():
     assert "model identity" in str(exc_info.value)
 
 
+def _intertwining_reference(m, lam):
+    """Defect of (1 - l1 U R^{-1}) v(lam) = (1 - r l2 U R^{-1}) v(sigma(lam)) at one point."""
+    l1, l2 = complex(lam[0]), complex(lam[1])
+    urinv = m.U @ m.R.inv_matrix
+    v_here = eval_v(m.spec, lam)
+    v_sig = eval_v(m.spec, domains.sigma(lam, m.spec.r))
+    lhs = v_here - l1 * urinv @ v_here
+    rhs = v_sig - m.spec.r * l2 * urinv @ v_sig
+    return float(np.linalg.norm(lhs - rhs))
+
+
 def test_eval_w_symmetry_and_base_point(lambda12_spec):
     model = _synth(lambda12_spec())
     np.testing.assert_allclose(
@@ -170,7 +197,7 @@ def test_eval_w_symmetry_and_base_point(lambda12_spec):
         w_here = eval_w(model, lam)
         w_sig = eval_w(model, domains.sigma(lam, R))
         assert np.linalg.norm(w_here - w_sig) < 1e-12
-        assert intertwining_residual(model, lam) < 1e-12
+        assert _intertwining_reference(model, lam) < 1e-12
 
 
 def test_eval_x_root_assignment_invariance(lambda12_spec):
@@ -201,6 +228,33 @@ def test_wrapped_model_supports_extraction(lambda12_spec):
     extracted = realization_from_model(gr, pts)
     for s in domains.sample_rG(50, R, seed=25):
         assert abs(eval_f(extracted, s) - s[1] / R) < 1e-9
+
+
+def _sample_points_reference(n, r, scale=0.8):
+    """The one-point-at-a-time loop that synthesis_sample_points replaced."""
+    phi = 1.1673039782614187
+    alphas = np.array([phi ** -(j + 1) for j in range(4)])
+    pts = []
+    for i in range(1, n + 1):
+        t = (0.5 + i * alphas) % 1.0
+        l1 = r * scale * math.sqrt(t[0]) * np.exp(2j * np.pi * t[1])
+        l2 = scale * math.sqrt(t[2]) * np.exp(2j * np.pi * t[3])
+        pts.append((complex(l1), complex(l2)))
+    return pts
+
+
+def test_synthesis_sample_points_reproduce_the_loop_bit_for_bit():
+    def hexed(pts):
+        return [tuple(x.hex() for z in p for x in (z.real, z.imag)) for p in pts]
+
+    for n in (0, 1, 2, 52, 1000):
+        for r in (1e-3, 0.5, 0.999):
+            for scale in (0.8, 1.0, 0.3):
+                pts = synthesis_sample_points(n, r, scale)
+                assert all(type(p) is tuple and type(p[0]) is complex for p in pts)
+                assert hexed(pts) == hexed(_sample_points_reference(n, r, scale))
+    with pytest.raises(InvalidParams, match="sample size"):
+        synthesis_sample_points(-1, 0.5)
 
 
 def test_synthesis_sample_points_stay_in_domain():
@@ -248,10 +302,50 @@ def _precheck_points(spec):
     )
 
 
+def _bidisc_pair_reference(u1_eval, u2_eval, phi_eval, lam, mu):
+    """Defect of the two-disc model identity at one pair of bidisc points.
+
+    |1 - conj(phi(mu)) phi(lam)
+    - (1 - conj(mu1) lam1) <u1(lam), u1(mu)> - (1 - conj(mu2) lam2) <u2(lam), u2(mu)>|.
+    """
+    l1, l2 = complex(lam[0]), complex(lam[1])
+    m1, m2 = complex(mu[0]), complex(mu[1])
+    lhs = 1.0 - complex(phi_eval(mu)).conjugate() * complex(phi_eval(lam))
+    rhs = (1.0 - m1.conjugate() * l1) * np.vdot(u1_eval(mu), u1_eval(lam)) + (
+        1.0 - m2.conjugate() * l2
+    ) * np.vdot(u2_eval(mu), u2_eval(lam))
+    return abs(lhs - rhs)
+
+
+def _lambda12_maps():
+    u1 = lambda lam: np.array([1.0 + 0.0j])
+    u2 = lambda lam: np.array([lam[0]], dtype=complex)
+    phi = lambda lam: lam[0] * lam[1]
+    return u1, u2, phi
+
+
+def test_bidisc_pair_reference_for_product_function():
+    # u1 = 1, u2 = lam1 and phi = lam1 lam2 satisfy the two-variable model
+    # identity exactly, so the residual is pure roundoff.
+    u1, u2, phi = _lambda12_maps()
+    pts = domains.sample_skew_bidisc(40, R, seed=10)
+    pts = [(lam[0] / R, lam[1]) for lam in pts]  # stretch onto the full bidisc
+    worst = max(
+        _bidisc_pair_reference(u1, u2, phi, lam, mu) for lam, mu in zip(pts[:20], pts[20:])
+    )
+    assert worst < 1e-13
+
+
+def test_bidisc_pair_reference_detects_wrong_function():
+    u1, u2, _ = _lambda12_maps()
+    wrong = lambda lam: lam[0]
+    assert _bidisc_pair_reference(u1, u2, wrong, (0.3, 0.4), (0.1, -0.2)) > 1e-3
+
+
 def _reference_precheck(spec, pts):
     sym = max(abs(spec.F.eval(domains.sigma(lam, spec.r)) - spec.F.eval(lam)) for lam in pts)
     model = max(
-        bidisc_model_residual(spec.u1.eval, spec.u2.eval, spec.F.eval, lam, mu)
+        _bidisc_pair_reference(spec.u1.eval, spec.u2.eval, spec.F.eval, lam, mu)
         for lam in pts
         for mu in pts
     )
@@ -341,3 +435,107 @@ def test_kernel_z_identity_matches_kernel_z_loop(k, seed, tmp_path, capsys):
         for mu in grid
     )
     assert abs(_check(report, "kernel_z_identity") - ref) <= DIFF_TOL
+
+
+# The stacked model maps against one-point formulas written out here.
+
+
+def _poly_reference(terms, lam):
+    l1, l2 = complex(lam[0]), complex(lam[1])
+    return sum(((l1**j) * (l2**k) * np.asarray(c) for (j, k), c in terms), start=0j)
+
+
+def _v_reference(spec, lam):
+    lam_s = domains.sigma(lam, spec.r)
+    u1, u2 = _poly_reference(spec.u1.terms, lam), _poly_reference(spec.u2.terms, lam_s)
+    return np.concatenate([u1, u2]) / SQRT2
+
+
+def _w_reference(m, lam):
+    mat = np.eye(m.dim) - m.spec.r * complex(lam[1]) * m.U @ m.R.inv_matrix
+    return np.linalg.solve(mat, _v_reference(m.spec, lam))
+
+
+def _preimage_reference(s, r):
+    rho1, rho2 = domains.quad_roots(s)
+    return rho1, rho2 / r
+
+
+def _u_model_reference(m, s):
+    x = _w_reference(m, _preimage_reference(s, m.spec.r))
+    return (2.0 * x - complex(s[0]) * (m.U @ (m.R.inv_matrix @ x))) / SQRT2
+
+
+@pytest.mark.parametrize("k", [1, 3, 6])
+@pytest.mark.parametrize("r", [1e-3, 0.5, 0.999])
+def test_stacked_model_maps_match_one_point_formulas(k, r, monkeypatch):
+    spec = _power_spec(k, r)
+    model = _synth(spec, 4 * spec.dim + 4)
+    monkeypatch.setattr(linalg, "BLOCK_ENTRIES", 5 * model.dim**2)  # blocks of 5 points
+    lams = np.array(domains.sample_skew_bidisc(23, r, seed=80))
+    ss = np.array(domains.sample_rG(23, r, seed=81))
+    cases = [
+        (spec.u1.eval, lambda p: _poly_reference(spec.u1.terms, p), lams),
+        (spec.u2.eval, lambda p: _poly_reference(spec.u2.terms, p), lams),
+        (spec.F.eval, lambda p: _poly_reference(spec.F.terms, p), lams),
+        (lambda p: eval_v(spec, p), lambda p: _v_reference(spec, p), lams),
+        (lambda p: eval_w(model, p), lambda p: _w_reference(model, p), lams),
+        (lambda p: eval_x(model, p), lambda p: _w_reference(model, _preimage_reference(p, r)), ss),
+        (lambda p: eval_u_model(model, p), lambda p: _u_model_reference(model, p), ss),
+        (
+            lambda p: model_f_eval(model, p),
+            lambda p: _poly_reference(spec.F.terms, _preimage_reference(p, r)),
+            ss,
+        ),
+    ]
+    for stacked, one_point, pts in cases:
+        ref = np.array([one_point(p) for p in pts.tolist()])
+        for n in (0, 1, 23):
+            got = stacked(pts[:n])
+            assert got.shape == ref[:n].shape
+            assert np.max(np.abs(got - ref[:n]), initial=0.0) <= DIFF_TOL
+        single = stacked(tuple(pts[0].tolist()))
+        if ref.ndim == 1:
+            assert type(single) is complex
+        else:
+            assert isinstance(single, np.ndarray) and single.shape == ref[0].shape
+        assert np.max(np.abs(single - ref[0])) <= DIFF_TOL
+
+
+def test_eval_w_names_the_point_where_the_resolvent_is_singular(lambda12_spec):
+    # U R^{-1} = 4: the resolvent 1 - r l2 U R^{-1} vanishes where r l2 = 1/4.
+    r_op = build_R(SubspaceSplit(1, 1), R)
+    model = SynthesizedModel(
+        dim=2, U=4.0 * r_op.matrix, R=r_op, spec=lambda12_spec(), residual_report={}
+    )
+    bad = (0.2 + 0j, 0.5 + 0j)
+    with pytest.raises(NotInvertible, match=re.escape(f"at {bad}")):
+        eval_w(model, [(0.1, 0.2), bad, (0.1, 0.5)])
+    with pytest.raises(NotInvertible, match=re.escape(f"at {bad}")):
+        eval_w(model, bad)
+
+
+def test_model_map_calls_do_not_grow_with_the_sample_count(monkeypatch):
+    calls = []
+    poly_eval = PolyVectorMap.eval
+    monkeypatch.setattr(
+        PolyVectorMap, "eval", lambda self, lam: calls.append(1) or poly_eval(self, lam)
+    )
+    spec = _power_spec(3)
+    counts = []
+    for n in (4 * spec.dim + 4, 200):
+        calls.clear()
+        model = synthesize(spec, synthesis_sample_points(n, spec.r))
+        kernel_checks(model, domains.sample_skew_bidisc(n, spec.r, 1))
+        gr = wrap_as_GrModel(model)
+        seen = []
+        counted = replace(
+            gr,
+            u_eval=lambda s: seen.append("u") or gr.u_eval(s),
+            f_eval=lambda s: seen.append("f") or gr.f_eval(s),
+        )
+        realization_from_model(counted, domains.sample_rG(n, spec.r, 2))
+        assert sorted(seen) == ["f", "u"]
+        model_f_eval(model, domains.sample_rG(n, spec.r, 3))
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
