@@ -11,19 +11,19 @@ one, and a = 0.  Unitarity of the block matrix L forces
 and under those constraints the realized function collapses to an explicit
 quotient of Mobius-type fractions.  The closed form and the colligation
 evaluation share nothing below the scalar fraction, so comparing them is a
-genuine dual-path check.
+genuine dual-path check.  Both take one point or an ``(N, 2)`` stack.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from . import linalg
 from .colligation import Colligation, SubspaceSplit
-from .domains import check_r, mobius_phi, sample_rG
+from .domains import _denominator_moduli, check_r, mobius_phi, point_stack, sample_rG
 from .errors import ConfigError, DegenerateDenominator, InvalidParams
 from .realization import evaluate
 
@@ -81,10 +81,11 @@ def validate_params(p: RankOneParams, tol: float = 1e-10) -> None:
         raise InvalidParams(f"<v, beta> has modulus {vb:.3e}, expected 0")
 
 
-def rank_one_build(
-    p: RankOneParams, tol: float = 1e-10
-) -> tuple[Colligation, Callable[[Sequence[complex]], complex]]:
+def rank_one_build(p: RankOneParams, tol: float = 1e-10) -> tuple[Colligation, Callable]:
     """The colligation of a rank-one entry and its closed-form evaluator.
+
+    The evaluator takes a point of r.G, giving its value, or an (N, 2) stack,
+    giving the (N,) values; it raises OutsideDomain for a point outside r.G.
 
     The closed form is
 
@@ -109,28 +110,30 @@ def rank_one_build(
         U=np.diag([p.omega1, p.omega2]),
     )
 
-    def closed_form(s) -> complex:
-        return _closed_form_and_denominator(p, s)[0]
+    def closed_form(s):
+        stack, one = point_stack(s, p.r)
+        val = _closed_form_and_denominator(p, stack)[0]
+        return val[0] if one else val
 
     return colligation, closed_form
 
 
-def _closed_form_and_denominator(p: RankOneParams, s) -> tuple[complex, float]:
-    """The closed form of :func:`rank_one_build` at s, and |det(s)|."""
+def _closed_form_and_denominator(p: RankOneParams, stack: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The closed form of :func:`rank_one_build` at each point of an (N, 2) stack, and |det|.
+
+    Raises DegenerateDenominator naming the first point where |det| < DEN_EPS.
+    """
     u1, u2 = p.u
     cv1, cv2 = p.v.conj()
-    p1 = mobius_phi(p.omega1, s)
-    p2 = mobius_phi(p.omega2 / p.r, s) / p.r
+    p1 = mobius_phi(p.omega1, stack)
+    p2 = mobius_phi(p.omega2 / p.r, stack) / p.r
     den = 1.0 - u1 * cv1 * p1 - u2 * cv2 * p2
-    if abs(den) < DEN_EPS:
-        raise DegenerateDenominator(f"determinant modulus {abs(den):.3e} at {tuple(s)}")
-    n_mat = np.array(
-        [
-            [p1 * (1.0 - u2 * cv2 * p2), u1 * cv2 * p1 * p2],
-            [u2 * cv1 * p1 * p2, p2 * (1.0 - u1 * cv1 * p1)],
-        ]
-    )
-    return complex(np.vdot(p.beta, n_mat @ p.gamma)) / den, abs(den)
+    mod = _denominator_moduli(den, stack, DEN_EPS, DegenerateDenominator, "vanishing determinant")
+    # <N(s) gamma, beta>, entry by entry.
+    n_gamma_1 = p1 * (1.0 - u2 * cv2 * p2) * p.gamma[0] + u1 * cv2 * p1 * p2 * p.gamma[1]
+    n_gamma_2 = u2 * cv1 * p1 * p2 * p.gamma[0] + p2 * (1.0 - u1 * cv1 * p1) * p.gamma[1]
+    b1, b2 = p.beta.conj()
+    return (b1 * n_gamma_1 + b2 * n_gamma_2) / den, mod
 
 
 @dataclass(frozen=True)
@@ -148,17 +151,17 @@ class CatalogCampaign:
 def catalog_campaign(p: RankOneParams, name: str, n: int, seed: int) -> CatalogCampaign:
     """Compare the closed form with the colligation evaluation on n seeded points."""
     colligation, _ = rank_one_build(p)
-    pts = sample_rG(n, p.r, seed)
-    gap = 0.0
-    max_abs = 0.0
-    min_den = float("inf")
-    for s, f in zip(pts, evaluate(colligation, pts)[1][0]):
-        val_closed, den = _closed_form_and_denominator(p, s)
-        gap = max(gap, abs(val_closed - f))
-        max_abs = max(max_abs, abs(val_closed))
-        min_den = min(min_den, den)
+    pts = np.array(sample_rG(n, p.r, seed), dtype=complex).reshape(-1, 2)
+    f = evaluate(colligation, pts)[1][0]
+    # The sampled points are in r.G, and evaluate has checked them again.
+    closed, den = _closed_form_and_denominator(p, pts)
     return CatalogCampaign(
-        name=name, n=n, seed=seed, max_gap=gap, max_abs_f=max_abs, min_denominator=min_den
+        name=name,
+        n=n,
+        seed=seed,
+        max_gap=float(np.max(np.abs(closed - f), initial=0.0)),
+        max_abs_f=float(np.max(np.abs(closed), initial=0.0)),
+        min_denominator=float(np.min(den, initial=np.inf)),
     )
 
 

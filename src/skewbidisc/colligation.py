@@ -29,7 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import linalg
-from .domains import check_r, in_G, point_stack, scale_psi_inv
+from .domains import check_r, fq_disc, in_G, point_stack, scale_psi_inv
 from .errors import (
     InvalidParams,
     NotInvertible,
@@ -241,10 +241,10 @@ def norm_bound(q) -> float:
     on G.
     """
     q1, q2 = complex(q[0]), complex(q[1])
-    if not in_G((q1, q2), margin=0.0):
+    if not in_G((q1, q2)):
         raise OutsideDomain(f"point ({q1}, {q2}) is not in G")
-    d = 4.0 - abs(q1) ** 2
-    return (2.0 * abs(q1.conjugate() * q2 - q1) + abs(q1 * q1 - 4.0 * q2)) / d
+    center, radius = fq_disc((q1, q2))
+    return abs(center) + radius
 
 
 def s_UR_bound(s, r: float) -> float:

@@ -1,6 +1,6 @@
 """Domain geometry for the symmetrized skew bidisc.
 
-Points of C^2 are plain ``(complex, complex)`` tuples.  Throughout,
+Points of C^2 are pairs ``(z1, z2)`` of complex numbers.  Throughout,
 ``r`` is a fixed parameter with 0 < r < 1 and
 
 * ``G``      is the symmetrization of the bidisc D x D,
@@ -9,11 +9,8 @@ Points of C^2 are plain ``(complex, complex)`` tuples.  Throughout,
 
 where the symmetrization map is pi(l1, l2) = (l1 + l2, l1 l2).
 
-Membership in an open set cannot be decided exactly in floating point, so
-every membership test takes a ``margin``: a point counts as inside when the
-relevant moduli stay below 1 - margin.  The default keeps a thin safety
-band; operations whose preconditions are bare open-set membership test with
-margin 0.
+:func:`sigma`, :func:`mobius_phi` and :func:`upsilon` take one point or an
+``(N, 2)`` stack of points, and return one value or the stacked values.
 """
 
 from __future__ import annotations
@@ -33,8 +30,6 @@ from .errors import (
 )
 
 Point2 = tuple[complex, complex]
-
-MEMBERSHIP_MARGIN = 1e-9
 
 # |1 - s1 z / 2| below this counts as a pole of the Mobius fraction.
 POLE_EPS = 1e-14
@@ -68,10 +63,14 @@ def t_r(lam: Sequence[complex], r: float) -> Point2:
     return l1, r * l2
 
 
-def sigma(lam: Sequence[complex], r: float) -> Point2:
-    """The involution (l1, l2) -> (r l2, l1 / r); fixes pi o t_r fibers."""
-    l1, l2 = _point(lam)
-    return r * l2, l1 / r
+def sigma(lam, r: float):
+    """The involution (l1, l2) -> (r l2, l1 / r); fixes pi o t_r fibers.
+
+    Maps a point to a tuple and an (N, 2) stack to an (N, 2) array.
+    """
+    stack, one = _as_stack(lam)
+    out = np.column_stack([r * stack[:, 1], stack[:, 0] / r])
+    return tuple(out[0].tolist()) if one else out
 
 
 def scale_psi(q: Sequence[complex], r: float) -> Point2:
@@ -106,41 +105,37 @@ def quad_roots(s: Sequence[complex]) -> tuple[complex, complex]:
     return a, b
 
 
-def in_G(s: Sequence[complex], margin: float = MEMBERSHIP_MARGIN) -> bool:
+def in_G(s: Sequence[complex]) -> bool:
     """Membership in the symmetrized bidisc: both roots inside the unit disc."""
     a, b = quad_roots(s)
-    lim = 1.0 - margin
-    return abs(a) < lim and abs(b) < lim
+    return abs(a) < 1.0 and abs(b) < 1.0
 
 
-def in_Gr(s: Sequence[complex], r: float, margin: float = MEMBERSHIP_MARGIN) -> bool:
+def in_Gr(s: Sequence[complex], r: float) -> bool:
     """Membership in the skew symmetrization of D x rD.
 
     True when the roots of z^2 - s1 z + s2 admit an assignment with one
     root inside D and the other inside rD.
     """
     a, b = quad_roots(s)
-    lim = 1.0 - margin
-    return (abs(a) < lim and abs(b) < r * lim) or (abs(b) < lim and abs(a) < r * lim)
+    return (abs(a) < 1.0 and abs(b) < r) or (abs(b) < 1.0 and abs(a) < r)
 
 
-def in_rG(s: Sequence[complex], r: float, margin: float = MEMBERSHIP_MARGIN) -> bool:
+def in_rG(s: Sequence[complex], r: float) -> bool:
     """Membership in the scaled domain r.G: both roots inside rD."""
-    return in_G(scale_psi_inv(s, r), margin)
+    return in_G(scale_psi_inv(s, r))
 
 
-def in_bidisc(lam: Sequence[complex], margin: float = MEMBERSHIP_MARGIN) -> bool:
+def in_bidisc(lam: Sequence[complex]) -> bool:
     """Componentwise membership in the open unit bidisc."""
     l1, l2 = _point(lam)
-    lim = 1.0 - margin
-    return abs(l1) < lim and abs(l2) < lim
+    return abs(l1) < 1.0 and abs(l2) < 1.0
 
 
-def in_skew_bidisc(lam: Sequence[complex], r: float, margin: float = MEMBERSHIP_MARGIN) -> bool:
+def in_skew_bidisc(lam: Sequence[complex], r: float) -> bool:
     """Membership in rD x D, the natural domain of the skew involution."""
     l1, l2 = _point(lam)
-    lim = 1.0 - margin
-    return abs(l1) < r * lim and abs(l2) < lim
+    return abs(l1) < r and abs(l2) < 1.0
 
 
 def point_stack(p, r: float, domain: str = "r.G") -> tuple[np.ndarray, bool]:
@@ -166,7 +161,7 @@ def _as_stack(p) -> tuple[np.ndarray, bool]:
 
 
 def outside_points(stack: np.ndarray, r: float, domain: str = "r.G") -> list[int]:
-    """Indices, in order, of the points of an (N, 2) stack outside ``domain`` at margin 0.
+    """Indices, in order, of the points of an (N, 2) stack outside ``domain``.
 
     ``domain`` is ``"r.G"`` or ``"rD x D"``.  An array screen settles the points it
     shows to be inside: the exact moduli test on ``rD x D``, :func:`_rG_screen` on
@@ -178,7 +173,7 @@ def outside_points(stack: np.ndarray, r: float, domain: str = "r.G") -> list[int
         "rD x D": (in_skew_bidisc, _skew_bidisc_screen),
     }[domain]
     unsettled = [0] if len(stack) == 1 else np.flatnonzero(~screen(stack, r)).tolist()
-    return [k for k in unsettled if not member(tuple(stack[k].tolist()), r, margin=0.0)]
+    return [k for k in unsettled if not member(tuple(stack[k].tolist()), r)]
 
 
 def _rG_screen(stack: np.ndarray, r: float) -> np.ndarray:
@@ -214,8 +209,8 @@ def _check_size(n: int) -> None:
         raise InvalidParams(f"sample size must be >= 0, got {n}")
 
 
-def sample_disc(n: int, seed: int, radius: float = 1.0) -> list[complex]:
-    """n rejection-sampled points of the open disc of given radius."""
+def sample_disc(n: int, seed: int) -> list[complex]:
+    """n rejection-sampled points of the open unit disc."""
     _check_size(n)
     rng = _rng(seed)
     out: list[complex] = []
@@ -224,7 +219,7 @@ def sample_disc(n: int, seed: int, radius: float = 1.0) -> list[complex]:
         for x, y in batch:
             z = complex(x, y)
             if abs(z) < 1.0:
-                out.append(radius * z)
+                out.append(z)
                 if len(out) == n:
                     break
     return out
@@ -278,26 +273,40 @@ def _point_list(x1, y1, x2, y2) -> list[Point2]:
     return list(zip(z[:, 0].tolist(), z[:, 1].tolist()))
 
 
-def mobius_phi(z: complex, s: Sequence[complex]) -> complex:
-    """The scalar fraction (s2 z - s1/2) / (1 - s1 z / 2)."""
-    s1, s2 = _point(s)
+def mobius_phi(z: complex, s):
+    """The scalar fraction (s2 z - s1/2) / (1 - s1 z / 2) at a point, or at each point of a stack.
+
+    Raises PoleAtInput naming the first point where |1 - s1 z / 2| < POLE_EPS.
+    """
+    stack, one = _as_stack(s)
+    s1, s2 = stack.T
     den = 1.0 - 0.5 * s1 * z
-    if abs(den) < POLE_EPS:
-        raise PoleAtInput(f"denominator modulus {abs(den):.3e} at z={z}")
-    return (s2 * z - 0.5 * s1) / den
+    _denominator_moduli(den, stack, POLE_EPS, PoleAtInput, f"pole of the fraction at z={z}")
+    val = (s2 * z - 0.5 * s1) / den
+    return complex(val[0]) if one else val
+
+
+def _denominator_moduli(den: np.ndarray, stack: np.ndarray, eps: float, error: type, what: str):
+    """|den| at each point of a stack; raises ``error`` naming the first point with |den| < eps."""
+    mod = np.abs(den)
+    if (mod < eps).any():
+        k = int(np.argmax(mod < eps))
+        z1, z2 = stack[k].tolist()
+        raise error(f"{what}: denominator modulus {mod[k]:.3e} at point {k} ({z1}, {z2})")
+    return mod
 
 
 def magic_phi(omega: complex, s: Sequence[complex]) -> complex:
     """The rational inner-type function on G attached to a unimodular omega."""
     if abs(abs(omega) - 1.0) > 1e-12:
         raise NotUnimodular(f"|omega| = {abs(omega)!r} is not 1")
-    if not in_G(s, margin=0.0):
+    if not in_G(s):
         raise OutsideDomain(f"point {tuple(s)} is not in G")
     return mobius_phi(omega, s)
 
 
-def upsilon(omega: complex, r: float, s: Sequence[complex]) -> complex:
-    """The scaled counterpart of :func:`magic_phi` living on r.G.
+def upsilon(omega: complex, r: float, s):
+    """The scaled counterpart of :func:`magic_phi` living on r.G, at a point or a stack.
 
     Evaluates r^{-1} (s2 omega r^{-1} - s1/2) / (1 - s1 omega r^{-1} / 2);
     unimodular ``omega`` keeps its modulus below 1 on all of r.G.
@@ -305,13 +314,13 @@ def upsilon(omega: complex, r: float, s: Sequence[complex]) -> complex:
     if abs(abs(omega) - 1.0) > 1e-12:
         raise NotUnimodular(f"|omega| = {abs(omega)!r} is not 1")
     check_r(r)
-    point_stack(s, r)
-    s1, s2 = _point(s)
+    stack, one = point_stack(s, r)
+    s1, s2 = stack.T
     w = omega / r
     den = 1.0 - 0.5 * s1 * w
-    if abs(den) < POLE_EPS:
-        raise PoleAtInput(f"denominator modulus {abs(den):.3e}")
-    return (s2 * w - 0.5 * s1) / den / r
+    _denominator_moduli(den, stack, POLE_EPS, PoleAtInput, f"pole of upsilon at omega={omega}")
+    val = (s2 * w - 0.5 * s1) / den / r
+    return complex(val[0]) if one else val
 
 
 def fq_disc(q: Sequence[complex]) -> tuple[complex, float]:

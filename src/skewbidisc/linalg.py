@@ -15,7 +15,6 @@ Default tolerances: 1e-10 for identities between computed quantities,
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -57,13 +56,13 @@ def as_vector(x, name: str = "vector") -> np.ndarray:
     return a
 
 
-def inverse(m, rcond: float = RCOND) -> np.ndarray:
+def inverse(m) -> np.ndarray:
     """Invert a square matrix, or each matrix of a ``(..., n, n)`` stack.
 
     Raises
     ------
     SingularMatrix
-        If, for some matrix, the smallest singular value is below ``rcond``
+        If, for some matrix, the smallest singular value is below ``RCOND``
         times the largest (the zero matrix counts as singular).  The whole
         stack is tested, by one batched SVD, before anything is inverted.
     """
@@ -71,11 +70,11 @@ def inverse(m, rcond: float = RCOND) -> np.ndarray:
     if a.size == 0:
         return a.copy()
     svals = np.linalg.svd(a, compute_uv=False).reshape(-1, a.shape[-1])
-    bad = (svals[:, 0] == 0.0) | (svals[:, -1] < rcond * svals[:, 0])
+    bad = (svals[:, 0] == 0.0) | (svals[:, -1] < RCOND * svals[:, 0])
     if bad.any():
         k = int(np.argmax(bad))
         raise SingularMatrix(
-            f"smallest singular value {svals[k, -1]:.3e} below {rcond:.1e} * norm "
+            f"smallest singular value {svals[k, -1]:.3e} below {RCOND:.1e} * norm "
             f"{svals[k, 0]:.3e}" + (f" (matrix {k} of the stack)" if a.ndim > 2 else ""),
             index=k,
         )
@@ -152,36 +151,23 @@ class PartialIsometry:
         return self.image_basis @ (self.domain_basis.conj().T @ v)
 
 
-def _family_matrix(fam, name: str) -> np.ndarray:
-    """Stack a family of vectors as matrix columns.
-
-    Accepts either a 2-d array whose columns are the family (this is the
-    only way to pass an empty family, since a bare empty list carries no
-    ambient dimension) or a sequence of 1-d vectors of equal length.
-    """
-    if isinstance(fam, np.ndarray) and fam.ndim == 2:
-        return _as_matrix(fam, name)
-    vecs = [as_vector(v, name) for v in fam]
-    if not vecs:
-        raise ShapeMismatch(
-            f"{name}: an empty family must be passed as a (dim, 0) array"
-        )
-    dims = {v.shape[0] for v in vecs}
-    if len(dims) != 1:
-        raise ShapeMismatch(f"{name}: vectors have mixed lengths {sorted(dims)}")
-    return np.column_stack(vecs)
+def _family(fam, name: str) -> np.ndarray:
+    """A family of vectors, given as the columns of a 2-d array; a list of vectors is refused."""
+    if not isinstance(fam, np.ndarray):
+        raise ShapeMismatch(f"{name} must be a 2-d array with the vectors as columns")
+    return _as_matrix(fam, name)
 
 
 def gram_gap(A, B) -> float:
     """Largest entry of ``|A^H A - B^H B|``; 0.0 for empty families.
 
-    A and B are families as in :func:`isometry_from_gramians`, with equal
+    A and B are 2-d arrays whose columns are the two families, with equal
     vector counts but possibly different ambient dimensions.  Entry (i, j)
     is ``<A_j, A_i> - <B_j, B_i>``, so one call checks a pair-grid identity
     ``<A_s, A_t> = <B_s, B_t>`` on all pairs of points.
     """
-    a_mat = _family_matrix(A, "family A")
-    b_mat = _family_matrix(B, "family B")
+    a_mat = _family(A, "family A")
+    b_mat = _family(B, "family B")
     if a_mat.shape[1] != b_mat.shape[1]:
         raise ShapeMismatch(
             f"families have {a_mat.shape[1]} and {b_mat.shape[1]} vectors"
@@ -204,9 +190,9 @@ def isometry_from_gramians(A, B, tol: float = TOL_IDENTITY) -> PartialIsometry:
 
     Parameters
     ----------
-    A, B : sequence of 1-d arrays, or 2-d arrays with the vectors as columns
-        The two families.  Empty families are allowed in the 2-d form
-        (shape ``(dim, 0)``) and produce a rank-0 isometry.
+    A, B : 2-d arrays with the vectors as columns
+        The two families.  Empty families (shape ``(dim, 0)``) produce a
+        rank-0 isometry.
     tol : float
         Gramian comparison and rank cutoff tolerance.
 
@@ -215,8 +201,8 @@ def isometry_from_gramians(A, B, tol: float = TOL_IDENTITY) -> PartialIsometry:
     GramianMismatch
         If ``max |Gram(A) - Gram(B)|`` exceeds ``tol``.
     """
-    a_mat = _family_matrix(A, "family A")
-    b_mat = _family_matrix(B, "family B")
+    a_mat = _family(A, "family A")
+    b_mat = _family(B, "family B")
     gap = gram_gap(a_mat, b_mat)
     if gap > tol:
         raise GramianMismatch(

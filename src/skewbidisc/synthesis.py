@@ -39,6 +39,7 @@ from .domains import (
     point_stack,
     quad_roots,
     sample_skew_bidisc,
+    sigma,
 )
 from .errors import (
     GramianMismatch,
@@ -147,13 +148,8 @@ class BidiscModelSpec:
         return self.d1 + self.d2
 
 
-def _sigma(lam: np.ndarray, r: float) -> np.ndarray:
-    """:func:`domains.sigma` on an (N, 2) stack."""
-    return np.column_stack([r * lam[:, 1], lam[:, 0] / r])
-
-
 def _v(spec: BidiscModelSpec, lam: np.ndarray) -> np.ndarray:
-    return np.hstack([spec.u1.eval(lam), spec.u2.eval(_sigma(lam, spec.r))]) / SQRT2
+    return np.hstack([spec.u1.eval(lam), spec.u2.eval(sigma(lam, spec.r))]) / SQRT2
 
 
 def eval_v(spec: BidiscModelSpec, lam) -> np.ndarray:
@@ -163,24 +159,22 @@ def eval_v(spec: BidiscModelSpec, lam) -> np.ndarray:
     return v[0] if one else v
 
 
-def synthesis_sample_points(n: int, r: float, scale: float = 0.8) -> list[Point2]:
+def synthesis_sample_points(n: int, r: float) -> list[Point2]:
     """Deterministic low-discrepancy points of rD x D, pulled toward the center.
 
     A four-dimensional Kronecker sequence (powers of the generalized golden
     ratio) fills the unit hypercube; each quadruple maps to polar
-    coordinates of the two disc factors, scaled by ``scale`` to keep every
+    coordinates of the two disc factors, scaled by 0.8 to keep every
     inverse in the pipeline comfortably conditioned.
     """
     check_r(r)
     _check_size(n)
-    if not 0.0 < scale <= 1.0:
-        raise InvalidParams(f"scale must lie in (0, 1], got {scale}")
     # Root of x**5 = x + 1, the 4-dimensional generalization of the golden ratio.
     phi = 1.1673039782614187
     alphas = np.array([phi ** -(j + 1) for j in range(4)])
     t = (0.5 + np.arange(1, n + 1)[:, None] * alphas) % 1.0
-    l1 = r * scale * np.sqrt(t[:, 0]) * np.exp(2j * np.pi * t[:, 1])
-    l2 = scale * np.sqrt(t[:, 2]) * np.exp(2j * np.pi * t[:, 3])
+    l1 = r * 0.8 * np.sqrt(t[:, 0]) * np.exp(2j * np.pi * t[:, 1])
+    l2 = 0.8 * np.sqrt(t[:, 2]) * np.exp(2j * np.pi * t[:, 3])
     return list(zip(l1.tolist(), l2.tolist()))
 
 
@@ -192,7 +186,7 @@ def _spec_precheck(spec: BidiscModelSpec, lam) -> tuple[float, float]:
     """
     lam = np.asarray(lam, dtype=complex)
     f = spec.F.eval(lam)
-    sym = spec.F.eval(_sigma(lam, spec.r)) - f
+    sym = spec.F.eval(sigma(lam, spec.r)) - f
     u1, u2 = spec.u1.eval(lam), spec.u2.eval(lam)
     a_fam = np.column_stack([np.ones(len(lam)), lam[:, :1] * u1, lam[:, 1:] * u2])
     b_fam = np.column_stack([f, u1, u2])
@@ -247,7 +241,7 @@ def synthesize(
             check="bidisc_model",
         )
     r_op = build_R(SubspaceSplit(spec.d1, spec.d2), spec.r)
-    v_here, v_sig = _v(spec, pts), _v(spec, _sigma(pts, spec.r))
+    v_here, v_sig = _v(spec, pts), _v(spec, sigma(pts, spec.r))
     a_mat = r_op.inv_matrix @ (pts[:, :1] * v_here - spec.r * pts[:, 1:] * v_sig).T
     b_mat = (v_here - v_sig).T
     isom = linalg.isometry_from_gramians(a_mat, b_mat, tol)
@@ -331,7 +325,7 @@ def kernel_checks(m: SynthesizedModel, lam) -> list[tuple[str, float, float]]:
     a, b = w - rl2 * urinv_w, w - l1 * urinv_w
     a_fam = np.column_stack([np.ones(len(lam)), l1 * (a @ rinv.T), rl2 * (b @ rinv.T)])
     b_fam = np.column_stack([m.spec.F.eval(lam), a, b])
-    w_sym = np.linalg.norm(_w(m, _sigma(lam, r)) - w, axis=1)
+    w_sym = np.linalg.norm(_w(m, sigma(lam, r)) - w, axis=1)
     return [
         ("kernel_z_identity", linalg.gram_gap(a_fam.T, b_fam.T), 1e-9),
         ("w_symmetry", float(np.max(w_sym, initial=0.0)), 1e-9),

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from skewbidisc import domains
+from skewbidisc import catalog, domains
 from skewbidisc.catalog import (
     CATALOG_NAMES,
     RankOneParams,
@@ -14,8 +14,10 @@ from skewbidisc.catalog import (
     upsilon_params,
     validate_params,
 )
+from skewbidisc.cli import run
 from skewbidisc.colligation import Colligation, SubspaceSplit, validate_colligation
-from skewbidisc.errors import ConfigError, InvalidParams
+from skewbidisc.errors import ConfigError, DegenerateDenominator, InvalidParams, OutsideDomain
+from skewbidisc.realization import eval_f
 
 R = 0.5
 W1 = np.exp(0.4j)
@@ -123,3 +125,78 @@ def test_named_params_dispatch():
     assert abs(abs(p.omega1) - 1.0) < 1e-14
     with pytest.raises(ConfigError):
         named_params("nonexistent", R, seed=0)
+
+
+def _closed_form_point(p, s):
+    """The closed form of rank_one_build at one point, in Python complex arithmetic."""
+    s1, s2 = complex(s[0]), complex(s[1])
+
+    def phi(z):
+        return (s2 * z - 0.5 * s1) / (1.0 - 0.5 * s1 * z)
+
+    p1, p2 = phi(p.omega1), phi(p.omega2 / p.r) / p.r
+    (u1, u2), (cv1, cv2) = p.u.tolist(), p.v.conj().tolist()
+    den = 1.0 - u1 * cv1 * p1 - u2 * cv2 * p2
+    n_mat = np.array(
+        [
+            [p1 * (1.0 - u2 * cv2 * p2), u1 * cv2 * p1 * p2],
+            [u2 * cv1 * p1 * p2, p2 * (1.0 - u1 * cv1 * p1)],
+        ]
+    )
+    return complex(np.vdot(p.beta, n_mat @ p.gamma)) / den
+
+
+@pytest.mark.parametrize("r", [1e-3, 0.5, 0.999])
+@pytest.mark.parametrize("n", [0, 1, 300])
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_stacked_closed_form_matches_one_point_formula(name, r, n):
+    p = named_params(name, r, seed=21)
+    _, closed = rank_one_build(p)
+    pts = domains.sample_rG(n, r, seed=22)
+    val = closed(np.array(pts, dtype=complex).reshape(-1, 2))
+    assert val.shape == (n,)
+    ref = np.array([_closed_form_point(p, s) for s in pts], dtype=complex)
+    assert np.max(np.abs(val - ref), initial=0.0) <= 1e-13
+    for s in pts[:2]:
+        one = closed(s)
+        assert type(one) is np.complex128
+        assert abs(one - _closed_form_point(p, s)) <= 1e-13
+
+
+def test_closed_form_refuses_points_outside_rG():
+    p = named_params("rank-one", 0.5, 3)
+    colligation, closed = rank_one_build(p)
+    with pytest.raises(OutsideDomain):
+        eval_f(colligation, (0.9, 0.3))
+    with pytest.raises(OutsideDomain, match=r"\(\(0\.9\+0j\), \(0\.3\+0j\)\)"):
+        closed((0.9, 0.3))
+    stack = np.array(domains.sample_rG(4, 0.5, seed=23) + [(0.9, 0.3)], dtype=complex)
+    with pytest.raises(OutsideDomain, match=r"\(\(0\.9\+0j\), \(0\.3\+0j\)\)"):
+        closed(stack)
+
+
+@pytest.mark.parametrize("k", [0, 2, 5])
+def test_zero_determinant_names_its_point(k):
+    # For the magic entry with omega = 1, det(s) = 1 - phi_{1/r}(s) / r vanishes at (0, r^2).
+    stack = np.array(domains.sample_rG(6, R, seed=24), dtype=complex)
+    stack[k] = (0.0, R * R)
+    with pytest.raises(DegenerateDenominator, match=rf"point {k} \(0j, \(0\.25\+0j\)\)"):
+        catalog._closed_form_and_denominator(magic_params(R, 1.0), stack)
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_mobius_phi_calls_do_not_grow_with_the_sample_count(name, monkeypatch, capsys):
+    calls = []
+
+    def counted(z, s):
+        calls.append(z)
+        return domains.mobius_phi(z, s)
+
+    monkeypatch.setattr(catalog, "mobius_phi", counted)
+    counts = []
+    for samples in (10, 400):
+        calls.clear()
+        assert run(["catalog", "--name", name, "--samples", str(samples)]) == 0
+        counts.append(len(calls))
+    capsys.readouterr()
+    assert counts[0] == counts[1] > 0

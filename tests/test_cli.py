@@ -143,7 +143,7 @@ def test_sample_command_roundtrip(capsys, tmp_path):
     assert report["sample_count"] == 40
     pts = jsonio.points_from_json(jsonio.load_json(out_path))
     assert len(pts) == 40
-    assert all(in_rG(p, 0.9, margin=0.0) for p in pts)
+    assert all(in_rG(p, 0.9) for p in pts)
 
 
 def test_sample_counts_every_point_outside(capsys, monkeypatch):

@@ -112,7 +112,7 @@ def test_sample_rG_membership_and_determinism():
     pts1 = domains.sample_rG(200, 0.5, seed=7)
     pts2 = domains.sample_rG(200, 0.5, seed=7)
     assert pts1 == pts2
-    assert all(domains.in_rG(p, 0.5, margin=0.0) for p in pts1)
+    assert all(domains.in_rG(p, 0.5) for p in pts1)
     assert domains.sample_rG(200, 0.5, seed=8) != pts1
 
 
@@ -123,7 +123,7 @@ def test_sample_rG_validates_r():
 
 def test_sample_skew_bidisc_membership():
     pts = domains.sample_skew_bidisc(100, 0.25, seed=3)
-    assert all(domains.in_skew_bidisc(p, 0.25, margin=0.0) for p in pts)
+    assert all(domains.in_skew_bidisc(p, 0.25) for p in pts)
     assert pts == domains.sample_skew_bidisc(100, 0.25, seed=3)
 
 
@@ -137,6 +137,62 @@ def test_mobius_phi_contracts_symmetrized_points():
 def test_mobius_phi_pole():
     with pytest.raises(PoleAtInput):
         domains.mobius_phi(1.0, (2.0, 0.5))
+
+
+# The stacked fractions against one-point formulas written out here, in Python
+# complex arithmetic.
+STACK_DIFF_TOL = 1e-13
+OMEGA = np.exp(1.3j)
+
+
+def _phi_point(z, s):
+    s1, s2 = complex(s[0]), complex(s[1])
+    return (s2 * z - 0.5 * s1) / (1.0 - 0.5 * s1 * z)
+
+
+def _upsilon_point(omega, r, s):
+    s1, s2 = complex(s[0]), complex(s[1])
+    w = omega / r
+    return (s2 * w - 0.5 * s1) / (1.0 - 0.5 * s1 * w) / r
+
+
+@pytest.mark.parametrize("r", [1e-3, 0.5, 0.999])
+@pytest.mark.parametrize("n", [0, 1, 300])
+def test_stacked_fractions_match_one_point_formulas(r, n):
+    pts = domains.sample_rG(n, r, seed=17)
+    stack = np.array(pts, dtype=complex).reshape(-1, 2)
+    for z in (OMEGA, OMEGA / r):
+        val = domains.mobius_phi(z, stack)
+        assert val.shape == (n,)
+        ref = np.array([_phi_point(z, s) for s in pts], dtype=complex)
+        assert np.max(np.abs(val - ref), initial=0.0) <= STACK_DIFF_TOL
+    ups = domains.upsilon(OMEGA, r, stack)
+    assert ups.shape == (n,)
+    ref = np.array([_upsilon_point(OMEGA, r, s) for s in pts], dtype=complex)
+    assert np.max(np.abs(ups - ref), initial=0.0) <= STACK_DIFF_TOL
+    for s in pts[:3]:
+        one_phi, one_ups = domains.mobius_phi(OMEGA, s), domains.upsilon(OMEGA, r, s)
+        assert type(one_phi) is complex and type(one_ups) is complex
+        assert abs(one_phi - _phi_point(OMEGA, s)) <= STACK_DIFF_TOL
+        assert abs(one_ups - _upsilon_point(OMEGA, r, s)) <= STACK_DIFF_TOL
+
+
+@pytest.mark.parametrize("k", [0, 3, 6])
+def test_stacked_pole_names_its_point(k):
+    stack = np.array(domains.sample_rG(7, 0.5, seed=18), dtype=complex)
+    stack[k] = (2.0, 0.5)
+    with pytest.raises(PoleAtInput, match=rf"point {k} \(\(2\+0j\), \(0\.5\+0j\)\)"):
+        domains.mobius_phi(1.0, stack)
+
+
+def test_sigma_on_a_stack_is_sigma_at_each_point():
+    lam = domains.sample_skew_bidisc(50, 0.4, seed=20)
+    stacked = domains.sigma(np.array(lam, dtype=complex), 0.4)
+    assert stacked.shape == (50, 2)
+    ref = np.array([(0.4 * l2, l1 / 0.4) for l1, l2 in lam], dtype=complex)
+    assert np.max(np.abs(stacked - ref)) <= STACK_DIFF_TOL
+    assert type(domains.sigma(lam[0], 0.4)) is tuple
+    assert domains.sigma(np.zeros((0, 2)), 0.4).shape == (0, 2)
 
 
 def test_magic_phi_frozen_value():
@@ -174,6 +230,9 @@ def test_upsilon_guards():
         domains.upsilon(0.9, 0.5, (0.0, 0.0))
     with pytest.raises(OutsideDomain):
         domains.upsilon(1.0, 0.5, (1.2, 0.3))  # in G but not in r.G
+    stack = np.array(domains.sample_rG(5, 0.5, seed=19) + [(1.2, 0.3)], dtype=complex)
+    with pytest.raises(OutsideDomain, match=r"\(\(1\.2\+0j\), \(0\.3\+0j\)\)"):
+        domains.upsilon(1.0, 0.5, stack)
 
 
 def test_fq_disc_center_free_case():
@@ -256,7 +315,7 @@ def test_point_stack_shapes():
 def _first_outside_reference(stack, r, member):
     """The scalar membership loop point_stack replaced: index of the first point outside."""
     for k, (z1, z2) in enumerate(stack.tolist()):
-        if not member((z1, z2), r, margin=0.0):
+        if not member((z1, z2), r):
             return k
     return None
 
@@ -302,7 +361,7 @@ def test_rG_screen_agrees_with_the_scalar_test(r):
     rng = np.random.default_rng(int(r * 1e6))
     pts = _adversarial_rG_points(r, rng)
     verdict = np.fromiter(
-        (domains.in_rG((z1, z2), r, margin=0.0) for z1, z2 in pts.tolist()), bool, len(pts)
+        (domains.in_rG((z1, z2), r) for z1, z2 in pts.tolist()), bool, len(pts)
     )
     screened = domains._rG_screen(pts, r)
     assert not np.any(screened & ~verdict)  # the screen never admits a point in_rG refuses
@@ -331,7 +390,7 @@ def test_skew_bidisc_array_test_is_the_scalar_test():
     scale = rng.choice([1 - 1e-16, 1.0, 1 + 1e-16, 0.5, 1.5], (2, m))
     pts = np.column_stack([r * scale[0] * np.exp(1j * theta[0]), scale[1] * np.exp(1j * theta[1])])
     pts[:10] = [[r, 0.0], [0.0, 1.0], [-r, 0.5j], [0.1, -1.0], [1j * r, 0.0]] * 2
-    verdict = [domains.in_skew_bidisc(p, r, margin=0.0) for p in pts.tolist()]
+    verdict = [domains.in_skew_bidisc(p, r) for p in pts.tolist()]
     assert np.array_equal(domains._skew_bidisc_screen(pts, r), verdict)
     k = _first_outside_reference(pts, r, domains.in_skew_bidisc)
     z1, z2 = pts[k].tolist()

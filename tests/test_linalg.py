@@ -147,10 +147,12 @@ def test_gram_gap_values():
     # Ambient dimensions may differ; Gram(b) = diag(1, 4).
     b_mat = np.array([[1.0, 0.0], [0.0, 2.0], [0.0, 0.0]], dtype=complex)
     assert linalg.gram_gap(a_mat, b_mat) == 3.0
-    assert linalg.gram_gap([np.array([3.0, 4.0j])], [np.array([5.0])]) == 0.0
+    assert linalg.gram_gap(np.array([[3.0], [4.0j]]), np.array([[5.0]])) == 0.0
     assert linalg.gram_gap(np.zeros((2, 0)), np.zeros((5, 0))) == 0.0
     with pytest.raises(ShapeMismatch):
         linalg.gram_gap(np.zeros((2, 3)), np.zeros((2, 2)))
+    with pytest.raises(ShapeMismatch, match="columns"):  # a list would be read as rows
+        linalg.gram_gap([np.array([3.0, 4.0j])], [np.array([5.0, 0.0])])
 
 
 @given(small_matrices())

@@ -230,15 +230,15 @@ def test_wrapped_model_supports_extraction(lambda12_spec):
         assert abs(eval_f(extracted, s) - s[1] / R) < 1e-9
 
 
-def _sample_points_reference(n, r, scale=0.8):
+def _sample_points_reference(n, r):
     """The one-point-at-a-time loop that synthesis_sample_points replaced."""
     phi = 1.1673039782614187
     alphas = np.array([phi ** -(j + 1) for j in range(4)])
     pts = []
     for i in range(1, n + 1):
         t = (0.5 + i * alphas) % 1.0
-        l1 = r * scale * math.sqrt(t[0]) * np.exp(2j * np.pi * t[1])
-        l2 = scale * math.sqrt(t[2]) * np.exp(2j * np.pi * t[3])
+        l1 = r * 0.8 * math.sqrt(t[0]) * np.exp(2j * np.pi * t[1])
+        l2 = 0.8 * math.sqrt(t[2]) * np.exp(2j * np.pi * t[3])
         pts.append((complex(l1), complex(l2)))
     return pts
 
@@ -249,10 +249,9 @@ def test_synthesis_sample_points_reproduce_the_loop_bit_for_bit():
 
     for n in (0, 1, 2, 52, 1000):
         for r in (1e-3, 0.5, 0.999):
-            for scale in (0.8, 1.0, 0.3):
-                pts = synthesis_sample_points(n, r, scale)
-                assert all(type(p) is tuple and type(p[0]) is complex for p in pts)
-                assert hexed(pts) == hexed(_sample_points_reference(n, r, scale))
+            pts = synthesis_sample_points(n, r)
+            assert all(type(p) is tuple and type(p[0]) is complex for p in pts)
+            assert hexed(pts) == hexed(_sample_points_reference(n, r))
     with pytest.raises(InvalidParams, match="sample size"):
         synthesis_sample_points(-1, 0.5)
 
@@ -260,10 +259,8 @@ def test_synthesis_sample_points_reproduce_the_loop_bit_for_bit():
 def test_synthesis_sample_points_stay_in_domain():
     for r in (0.25, 0.5, 0.9):
         pts = synthesis_sample_points(64, r)
-        assert all(domains.in_skew_bidisc(p, r, margin=0.0) for p in pts)
+        assert all(domains.in_skew_bidisc(p, r) for p in pts)
     assert synthesis_sample_points(16, 0.5) == synthesis_sample_points(16, 0.5)
-    with pytest.raises(InvalidParams):
-        synthesis_sample_points(4, 0.5, scale=1.5)
 
 
 # The Gram-form checks against the per-pair reference loops they replace.
