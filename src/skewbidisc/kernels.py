@@ -20,6 +20,18 @@ Both identities are exercised by :func:`substitution_residual` and
 :func:`factorization_residual`.  Like ``s_UR``, the kernels and the residuals
 take one pair of points, giving an (n, n) matrix or a float, or two (N, 2)
 stacks, giving the (N, n, n) or (N,) stack of values.
+
+Multiplied out, both kernels are combinations of the same eight constant
+matrices I, A, D, B, AD, AB, DB, ADB, where A = R^{-1}U*, D = R^{-2} and
+B = U R^{-1}:
+
+    Y(s, t) = 2 - conj(t1) A - s1 B + conj(t2) s1 AD + conj(t1) s2 DB - 2 conj(t2) s2 ADB,
+    Z(l, m) = (1 - a A)(1 - d D)(1 - b B) + (1 - a' A)(1 - d' D)(1 - b' B)
+
+with a = r conj(m2), d = conj(m1) l1, b = r l2, a' = conj(m1),
+d' = r^2 conj(m2) l2 and b' = l1, each triple product expanded into its
+eight terms.  :class:`KernelContext` caches the eight matrices as one
+(8, n^2) array, so N kernel values are one (N, 8) @ (8, n^2) product.
 """
 
 from __future__ import annotations
@@ -30,7 +42,7 @@ import numpy as np
 
 from . import linalg
 from .colligation import ROperator, s_UR
-from .domains import pi_map, point_stack, t_r
+from .domains import point_stack
 from .errors import InvalidParams, ShapeMismatch
 
 
@@ -50,12 +62,33 @@ class KernelContext:
             )
         if not linalg.is_unitary(u, 1e-10):
             raise InvalidParams("U is not unitary within 1e-10")
+        u = u.copy()
+        u.flags.writeable = False  # the cached basis is built from it
         object.__setattr__(self, "U", u)
         object.__setattr__(self, "r", self.R.r)
 
     @property
     def dim(self) -> int:
         return self.U.shape[0]
+
+    @functools.cached_property
+    def basis(self) -> np.ndarray:
+        """The rows I, A, D, B, AD, AB, DB, ADB of the module docstring, flattened to (8, n^2)."""
+        rinv = self.R.inv_matrix
+        a, d, b = rinv @ self.U.conj().T, rinv @ rinv, self.U @ rinv
+        ad = a @ d
+        mats = [np.eye(self.dim), a, d, b, ad, a @ b, d @ b, ad @ b]
+        basis = np.stack(mats).reshape(8, -1)
+        basis.flags.writeable = False  # computed once, shared by every kernel value
+        return basis
+
+
+def _combine(ctx: KernelContext, count: int, *coefs) -> np.ndarray:
+    """The (count, n, n) stack of sum_k coefs[k] basis[k]; each coefs[k] is (count,) or a scalar."""
+    c = np.empty((count, len(coefs)), dtype=complex)
+    for k, coef in enumerate(coefs):
+        c[:, k] = coef
+    return (c @ ctx.basis).reshape(count, ctx.dim, ctx.dim)
 
 
 def _on_pairs(domain: str):
@@ -85,33 +118,23 @@ def _on_pairs(domain: str):
 @_on_pairs("rD x D")
 def kernel_Z(ctx: KernelContext, lam, mu) -> np.ndarray:
     """Evaluate the skew-bidisc kernel Z at pairs (lam, mu) of points of rD x D."""
-    l1, l2 = lam[:, 0, None, None], lam[:, 1, None, None]
-    m1, m2 = mu[:, 0, None, None].conj(), mu[:, 1, None, None].conj()
+    l1, l2 = lam[:, 0], lam[:, 1]
+    m1, m2 = mu[:, 0].conj(), mu[:, 1].conj()
     r = ctx.r
-    eye = np.eye(ctx.dim)
-    rinv = ctx.R.inv_matrix
-    rinv2 = rinv @ rinv
-    urinv = ctx.U @ rinv
-    rinv_uh = rinv @ ctx.U.conj().T
-    first = (eye - r * m2 * rinv_uh) @ (eye - m1 * l1 * rinv2) @ (eye - r * l2 * urinv)
-    second = (eye - m1 * rinv_uh) @ (eye - r * r * m2 * l2 * rinv2) @ (eye - l1 * urinv)
-    return first + second
+    a, d, b = r * m2, m1 * l1, r * l2
+    a_, d_, b_ = m1, r * r * m2 * l2, l1
+    return _combine(
+        ctx, len(lam), 2.0, -(a + a_), -(d + d_), -(b + b_),
+        a * d + a_ * d_, a * b + a_ * b_, d * b + d_ * b_, -(a * d * b + a_ * d_ * b_),
+    )
 
 
 # Y on stacks already checked: the r.G residuals reuse it, since a second
 # membership test in r.G costs about 4 us per point.
 def _y(ctx: KernelContext, s: np.ndarray, t: np.ndarray) -> np.ndarray:
-    s1, s2 = s[:, 0, None, None], s[:, 1, None, None]
-    t1, t2 = t[:, 0, None, None].conj(), t[:, 1, None, None].conj()
-    eye = np.eye(ctx.dim)
-    rinv = ctx.R.inv_matrix
-    rinv2 = rinv @ rinv
-    u = ctx.U
-    uh = u.conj().T
-    term1 = 2.0 * (eye - t2 * s2 * (rinv @ uh @ rinv2 @ u @ rinv))
-    term2 = (t1 * s2 * rinv2 - s1 * eye) @ (u @ rinv)
-    term3 = (rinv @ uh) @ (t2 * s1 * rinv2 - t1 * eye)
-    return term1 + term2 + term3
+    s1, s2 = s[:, 0], s[:, 1]
+    t1, t2 = t[:, 0].conj(), t[:, 1].conj()
+    return _combine(ctx, len(s), 2.0, -t1, 0.0, -s1, t2 * s1, 0.0, t1 * s2, -2.0 * t2 * s2)
 
 
 @_on_pairs("r.G")
@@ -120,12 +143,18 @@ def kernel_Y(ctx: KernelContext, s, t) -> np.ndarray:
     return _y(ctx, s, t)
 
 
+def _pi_t_r(lam: np.ndarray, r: float) -> np.ndarray:
+    """pi(t_r(l)) = (l1 + r l2, l1 (r l2)) on an (N, 2) stack."""
+    rl2 = r * lam[:, 1]
+    return np.column_stack([lam[:, 0] + rl2, lam[:, 0] * rl2])
+
+
 @_on_pairs("rD x D")
 def substitution_residual(ctx: KernelContext, lam, mu):
     """Spectral norm of Z(lam, mu) - Y(s, t), where s = pi(t_r(lam)), t = pi(t_r(mu))."""
-    s = [pi_map(t_r(z, ctx.r)) for z in lam.tolist()]
-    t = [pi_map(t_r(z, ctx.r)) for z in mu.tolist()]
-    return linalg.spectral_norm(kernel_Z(ctx, lam, mu) - kernel_Y(ctx, s, t))
+    return linalg.spectral_norm(
+        kernel_Z(ctx, lam, mu) - kernel_Y(ctx, _pi_t_r(lam, ctx.r), _pi_t_r(mu, ctx.r))
+    )
 
 
 @_on_pairs("r.G")

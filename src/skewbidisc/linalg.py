@@ -90,10 +90,21 @@ def blocks(count: int, dim: int) -> list[slice]:
 def spectral_norm(m):
     """Largest singular value (a float), or the array of them for a ``(..., m, n)`` stack.
 
-    Empty matrices have norm 0.0.
+    Empty matrices have norm 0.0.  The norm is the square root of the top
+    eigenvalue of the smaller Gram matrix (``A^H A`` or ``A A^H``), formed
+    after dividing each matrix by its largest entry modulus, so entries near
+    1e-300 or 1e300 neither underflow nor overflow.
     """
     a = _as_matrix(m, "norm operand", stack=True)
-    norms = np.linalg.norm(a, 2, axis=(-2, -1)) if a.size else np.zeros(a.shape[:-2])
+    if a.size == 0:
+        norms = np.zeros(a.shape[:-2])
+    else:
+        scale = np.abs(a).max(axis=(-2, -1), keepdims=True)
+        b = a / np.maximum(scale, np.finfo(float).tiny)
+        bh = b.conj().swapaxes(-2, -1)
+        gram = bh @ b if a.shape[-1] <= a.shape[-2] else b @ bh
+        top = np.linalg.eigvalsh(gram)[..., -1]
+        norms = np.sqrt(np.maximum(top, 0.0)) * scale[..., 0, 0]
     return float(norms) if a.ndim == 2 else norms
 
 

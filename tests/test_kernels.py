@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from skewbidisc import domains, linalg
+from skewbidisc import cli, domains, linalg
 from skewbidisc.colligation import SubspaceSplit, build_R
 from skewbidisc.errors import InvalidParams, OutsideDomain, ShapeMismatch
 from skewbidisc.kernels import (
@@ -10,6 +10,7 @@ from skewbidisc.kernels import (
     hermitian_symmetry_residual,
     kernel_Y,
     kernel_Z,
+    _pi_t_r,
     substitution_residual,
 )
 from skewbidisc.linalg import haar_unitary
@@ -33,6 +34,52 @@ def test_context_rejects_nonunitary():
     R = build_R(SubspaceSplit(1, 1), 0.5)
     with pytest.raises(InvalidParams):
         KernelContext(U=1.5 * np.eye(2, dtype=complex), R=R)
+
+
+def test_context_keeps_a_read_only_copy_of_U():
+    u = haar_unitary(5, 43)
+    ctx = KernelContext(U=u, R=build_R(SubspaceSplit(2, 3), 0.5))
+    s, t = domains.sample_rG(4, ctx.r, seed=44), domains.sample_rG(4, ctx.r, seed=45)
+    lam = domains.sample_skew_bidisc(4, ctx.r, seed=46)
+    mu = domains.sample_skew_bidisc(4, ctx.r, seed=47)
+    before = kernel_Y(ctx, s, t), kernel_Z(ctx, lam, mu)
+    u[0, 0] += 1.0
+    u[3] *= 1j
+    after = kernel_Y(ctx, s, t), kernel_Z(ctx, lam, mu)
+    for b, a in zip(before, after):
+        np.testing.assert_array_equal(a, b)
+    assert not ctx.U.flags.writeable and not ctx.basis.flags.writeable
+    with pytest.raises(ValueError):
+        ctx.U[0, 0] = 0.0
+
+
+def test_kernel_check_makes_no_svd(monkeypatch, capsys):
+    calls = []
+    svd = np.linalg.svd
+
+    def counting_svd(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    # Count calls through np.linalg.svd and the ones np.linalg.norm makes inside numpy.
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    monkeypatch.setitem(np.linalg.norm._implementation.__globals__, "svd", counting_svd)
+    linalg.inverse(np.eye(2))
+    np.linalg.norm(np.eye(2), 2)
+    assert len(calls) == 2  # the counter sees both kinds of call
+    calls.clear()
+    assert cli.run(["kernel-check", "--dims", "8,8", "--samples", "300"]) == 0
+    assert '"passed": true' in capsys.readouterr().out
+    assert calls == []
+
+
+@pytest.mark.parametrize("r", [1e-3, 0.5, 0.999])
+def test_array_substitution_map_matches_pi_of_t_r(r):
+    lam = domains.sample_skew_bidisc(1000, r, seed=48)
+    got = _pi_t_r(np.array(lam, dtype=complex), r)
+    ref = np.array([domains.pi_map(domains.t_r(z, r)) for z in lam], dtype=complex)
+    assert got.shape == (1000, 2)
+    assert np.max(np.abs(got - ref)) <= DIFF_TOL
 
 
 def test_kernels_at_origin(ctx):
@@ -216,15 +263,31 @@ def test_stacked_kernels_refuse_malformed_stacks(ctx):
             call(ctx, lam, lam[:3])
 
 
+def _near_boundary_points(r, count, seed):
+    """Points of r.G whose roots have modulus (1 - 1e-6) r, and points of rD x D
+    whose coordinates have moduli (1 - 1e-6) r and 1 - 1e-6."""
+    rho = 1.0 - 1e-6
+    rng = np.random.Generator(np.random.Philox(seed))
+    a, b, c, d = np.exp(2j * np.pi * rng.random((4, count)))
+    roots = rho * r * a, rho * r * b
+    s = np.column_stack([roots[0] + roots[1], roots[0] * roots[1]])
+    lam = np.column_stack([rho * r * c, rho * d])
+    return s.tolist(), lam.tolist()
+
+
 @pytest.mark.parametrize("r", [1e-3, 0.5, 0.999])
 def test_stacked_kernels_against_50_digit_oracle(r):
-    mpmath = pytest.importorskip("mpmath")
+    import mpmath
+
     mp = mpmath.mp.clone()
     mp.dps = 50
     ctx = _context((2, 3), r, seed=69)
-    s, t = domains.sample_rG(3, r, seed=70), domains.sample_rG(3, r, seed=71)
-    lam = domains.sample_skew_bidisc(3, r, seed=72)
-    mu = domains.sample_skew_bidisc(3, r, seed=73)
+    s_edge, lam_edge = _near_boundary_points(r, 3, seed=74)
+    t_edge, mu_edge = _near_boundary_points(r, 3, seed=75)
+    s = domains.sample_rG(3, r, seed=70) + s_edge
+    t = domains.sample_rG(3, r, seed=71) + t_edge
+    lam = domains.sample_skew_bidisc(3, r, seed=72) + lam_edge
+    mu = domains.sample_skew_bidisc(3, r, seed=73) + mu_edge
     ys, zs = kernel_Y(ctx, s, t), kernel_Z(ctx, lam, mu)
 
     def mat(a):
@@ -241,7 +304,7 @@ def test_stacked_kernels_against_50_digit_oracle(r):
     def gap(approx, exact):
         return max(abs(complex(exact[i, j]) - approx[i, j]) for i in range(n) for j in range(n))
 
-    for k in range(3):
+    for k in range(len(s)):
         s1, s2 = (mp.mpc(complex(x)) for x in s[k])
         t1, t2 = (mp.conj(mp.mpc(complex(x))) for x in t[k])
         y = (

@@ -79,6 +79,79 @@ def test_spectral_norm_of_a_stack():
     assert linalg.spectral_norm(np.zeros((0, 3, 3))).shape == (0,)
 
 
+def _matrices_with_known_norms():
+    """Matrices of every shape kind spectral_norm takes: square, both rectangles, 1x1, stacks."""
+    rng = np.random.Generator(np.random.Philox(12))
+
+    def gaussian(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    q1, q2 = linalg.haar_unitary(4, 13), linalg.haar_unitary(4, 14)
+    return {
+        "square": gaussian(16, 16),
+        "tall": gaussian(7, 3),
+        "wide": gaussian(3, 7),
+        "one_by_one": gaussian(1, 1),
+        "zero": np.zeros((4, 5)),
+        "rank_one": np.outer(gaussian(5), gaussian(3).conj()),
+        "equal_top_pair": q1 @ np.diag([3.0, 3.0, 1.0, 0.5]) @ q2,
+        "square_stack": gaussian(16, 16, 16),
+        "tall_stack": gaussian(2, 3, 6, 2),
+        "wide_stack": gaussian(5, 2, 6),
+        "stack_with_zero_and_rank_one": np.stack(
+            [np.zeros((3, 3)), np.outer(gaussian(3), gaussian(3)), gaussian(3, 3)]
+        ),
+    }
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-200, 1.0, 1e200, 1e300])
+@pytest.mark.parametrize("name", sorted(_matrices_with_known_norms()))
+def test_spectral_norm_matches_the_svd_norm(name, scale):
+    m = scale * _matrices_with_known_norms()[name]
+    got = linalg.spectral_norm(m)
+    ref = np.linalg.norm(m, 2, axis=(-2, -1))
+    if m.ndim == 2:
+        assert isinstance(got, float)
+    else:
+        assert got.shape == m.shape[:-2]
+    assert np.all(np.isfinite(ref)) and np.all(np.abs(got - ref) <= 1e-14 * ref)
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0), (2, 0, 0), (0, 3, 3), (4, 0, 2)])
+def test_spectral_norm_of_empty_matrices_is_zero(shape):
+    got = linalg.spectral_norm(np.zeros(shape, dtype=complex))
+    if len(shape) == 2:
+        assert isinstance(got, float) and got == 0.0
+    else:
+        assert got.shape == shape[:-2] and not got.any()
+
+
+def test_is_unitary_decides_as_the_svd_norm_does():
+    def by_svd(m, tol):
+        eye = np.eye(m.shape[0])
+        return bool(
+            np.linalg.norm(m.conj().T @ m - eye, 2) <= tol
+            and np.linalg.norm(m @ m.conj().T - eye, 2) <= tol
+        )
+
+    u = linalg.haar_unitary(5, 42)
+    bump = np.zeros((5, 5))
+    bump[2, 3] = 1.0
+    cases = [
+        (np.eye(4), 0.0),
+        (u, 1e-12),
+        (u, 0.0),
+        (1.01 * np.eye(3), 1e-10),
+        (u + 1e-9 * bump, 1e-10),
+        (u + 1e-13 * bump, 1e-10),
+        (linalg.haar_unitary(16, 3), 1e-12),
+        (np.zeros((2, 2)), 1e-10),
+    ]
+    decisions = [linalg.is_unitary(m, tol) for m, tol in cases]
+    assert decisions == [by_svd(m, tol) for m, tol in cases]
+    assert decisions == [True, True, False, False, False, True, True, False]
+
+
 def test_is_unitary_accepts_identity_at_zero_tol():
     assert linalg.is_unitary(np.eye(4), tol=0.0)
 

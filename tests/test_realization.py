@@ -175,7 +175,8 @@ def test_stacked_evaluation_names_the_point_outside_the_domain():
 
 @pytest.mark.parametrize("r", [1e-3, 0.5, 0.999])
 def test_stacked_evaluation_against_50_digit_oracle(r):
-    mpmath = pytest.importorskip("mpmath")
+    import mpmath
+
     mp = mpmath.mp.clone()
     mp.dps = 50
     c = random_colligation(SubspaceSplit(2, 3), r, seed=55)
