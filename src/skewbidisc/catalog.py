@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from . import linalg
-from .colligation import Colligation, SubspaceSplit
+from .colligation import Check, Colligation, SubspaceSplit, ValidationReport
 from .domains import _denominator_moduli, check_r, mobius_phi, point_stack, sample_rG
 from .errors import ConfigError, DegenerateDenominator, InvalidParams
 from .realization import evaluate
@@ -136,33 +136,24 @@ def _closed_form_and_denominator(p: RankOneParams, stack: np.ndarray) -> tuple[n
     return (b1 * n_gamma_1 + b2 * n_gamma_2) / den, mod
 
 
-@dataclass(frozen=True)
-class CatalogCampaign:
-    """Crosscheck plus the Schur bound and the observed denominator floor."""
+def catalog_campaign(p: RankOneParams, n: int, seed: int, tol: float = 1e-10) -> ValidationReport:
+    """Compare the closed form with the colligation evaluation on n seeded points.
 
-    name: str
-    n: int
-    seed: int
-    max_gap: float
-    max_abs_f: float
-    min_denominator: float
-
-
-def catalog_campaign(p: RankOneParams, name: str, n: int, seed: int) -> CatalogCampaign:
-    """Compare the closed form with the colligation evaluation on n seeded points."""
+    Checks the gap between the two paths (to ``tol``), the Schur bound |f| <= 1 + 1e-12
+    and that |det| of the closed form stays at or above 1e-8.
+    """
     colligation, _ = rank_one_build(p)
     pts = np.array(sample_rG(n, p.r, seed), dtype=complex).reshape(-1, 2)
     f = evaluate(colligation, pts)[1][0]
     # The sampled points are in r.G, and evaluate has checked them again.
     closed, den = _closed_form_and_denominator(p, pts)
-    return CatalogCampaign(
-        name=name,
-        n=n,
-        seed=seed,
-        max_gap=float(np.max(np.abs(closed - f), initial=0.0)),
-        max_abs_f=float(np.max(np.abs(closed), initial=0.0)),
-        min_denominator=float(np.min(den, initial=np.inf)),
-    )
+    max_abs = float(np.max(np.abs(closed), initial=0.0))
+    min_den = float(np.min(den, initial=np.inf))
+    return ValidationReport((
+        Check("crosscheck_gap", float(np.max(np.abs(closed - f), initial=0.0)), tol),
+        Check("schur_bound", max(0.0, max_abs - 1.0), 1e-12),
+        Check("denominator_floor_gap", max(0.0, 1e-8 - min_den), 0.0),
+    ))
 
 
 def upsilon_params(r: float, omega: complex) -> RankOneParams:

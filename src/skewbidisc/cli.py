@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 import time
 from dataclasses import asdict, dataclass, field
@@ -29,7 +30,7 @@ import numpy as np
 
 from . import jsonio, linalg
 from .catalog import CATALOG_NAMES, catalog_campaign, named_params, rank_one_build
-from .colligation import SubspaceSplit, build_R, validate_colligation
+from .colligation import Check, SubspaceSplit, ValidationReport, build_R, validate_colligation
 from .domains import outside_points, sample_rG, sample_skew_bidisc, upsilon
 from .errors import (
     ConfigError,
@@ -79,8 +80,8 @@ class RunConfig:
             raise ConfigError(f"--seed must be >= 0, got {self.seed}")
         if not 0.0 < self.r < 1.0:
             raise ConfigError(f"--r must satisfy 0 < r < 1, got {self.r}")
-        if not self.tol > 0.0:
-            raise ConfigError(f"--tol must be positive, got {self.tol}")
+        if not (self.tol > 0.0 and math.isfinite(self.tol)):
+            raise ConfigError(f"--tol must be positive and finite, got {self.tol}")
 
 
 @dataclass
@@ -88,57 +89,43 @@ class Report:
     command: str
     passed: bool
     max_residual: float
-    checks: list[tuple[str, float, float]]
+    checks: tuple[Check, ...]
     seed: int
     sample_count: int
     elapsed_ms: float = field(default=0.0)
 
 
-def _finish(command: str, checks: list[tuple[str, float, float]], seed: int,
-            sample_count: int, started: float) -> Report:
-    passed = all(res <= thr for (_, res, thr) in checks)
-    max_residual = max((res for (_, res, _) in checks), default=0.0)
+def _finish(cfg: RunConfig, checks: Sequence[Check], sample_count: int) -> Report:
+    summary = ValidationReport(tuple(checks))
     return Report(
-        command=command,
-        passed=passed,
-        max_residual=max_residual,
-        checks=checks,
-        seed=seed,
+        command=cfg.command,
+        passed=summary.passed,
+        max_residual=summary.max_residual,
+        checks=summary.checks,
+        seed=cfg.seed,
         sample_count=sample_count,
-        elapsed_ms=(time.perf_counter() - started) * 1000.0,
     )
 
 
 def cmd_validate(cfg: RunConfig) -> Report:
-    started = time.perf_counter()
     if cfg.input_path is None:
         raise ConfigError("validate requires --input")
     obj = jsonio.load_json(cfg.input_path)
     colligation = jsonio.colligation_from_json(obj)
     report = validate_colligation(colligation, tol=cfg.tol)
-    checks = [(c.name, c.residual, c.threshold) for c in report.checks]
-    return _finish("validate", checks, cfg.seed, 0, started)
+    return _finish(cfg, report.checks, 0)
 
 
 def cmd_certify(cfg: RunConfig) -> Report:
-    started = time.perf_counter()
     if cfg.input_path is None:
         raise ConfigError("certify requires --input")
     obj = jsonio.load_json(cfg.input_path)
     colligation = jsonio.colligation_from_json(obj)
-    cert = schur_certify(colligation, cfg.samples, cfg.seed, tol=cfg.tol)
-    grid = sample_rG(min(cfg.samples, 20), colligation.r, cfg.seed)
-    pair_res = linalg.gram_gap(*evaluate(colligation, grid))
-    checks = [
-        ("schur_bound", max(0.0, cert.max_abs_f - 1.0), cfg.tol),
-        ("diag_model_residual", cert.max_diag_residual, 1e-9),
-        ("pair_model_residual", pair_res, 1e-9),
-    ]
-    return _finish("certify", checks, cfg.seed, cfg.samples, started)
+    report = schur_certify(colligation, cfg.samples, cfg.seed, tol=cfg.tol)
+    return _finish(cfg, report.checks, cfg.samples)
 
 
 def cmd_synthesize(cfg: RunConfig) -> Report:
-    started = time.perf_counter()
     if cfg.input_path is None:
         raise ConfigError("synthesize requires --input")
     obj = jsonio.load_json(cfg.input_path)
@@ -148,14 +135,14 @@ def cmd_synthesize(cfg: RunConfig) -> Report:
         model = synthesize(spec, pts, tol=cfg.tol)
     except GramianMismatch as exc:
         residual = exc.residual if exc.residual is not None else float("inf")
-        return _finish("synthesize", [(exc.check, residual, cfg.tol)], cfg.seed, len(pts), started)
+        return _finish(cfg, [Check(exc.check, residual, cfg.tol)], len(pts))
     rep = model.residual_report
     checks = [
-        ("sigma_symmetry", rep["sigma_symmetry_residual"], cfg.tol),
-        ("bidisc_model", rep["bidisc_model_residual"], cfg.tol),
-        ("gramian", rep["gramian_residual"], cfg.tol),
-        ("isometry_agreement", rep["isometry_residual"], cfg.tol),
-        ("u_unitarity", rep["u_unitarity"], cfg.tol),
+        Check("sigma_symmetry", rep["sigma_symmetry_residual"], cfg.tol),
+        Check("bidisc_model", rep["bidisc_model_residual"], cfg.tol),
+        Check("gramian", rep["gramian_residual"], cfg.tol),
+        Check("isometry_agreement", rep["isometry_residual"], cfg.tol),
+        Check("u_unitarity", rep["u_unitarity"], cfg.tol),
     ]
     checks += kernel_checks(model, sample_skew_bidisc(8, spec.r, cfg.seed + 1))
     # Extract a colligation and round-trip the function values.
@@ -163,18 +150,17 @@ def cmd_synthesize(cfg: RunConfig) -> Report:
     fresh = sample_rG(4 * (model.dim + 1), spec.r, cfg.seed + 2)
     colligation = realization_from_model(gr_model, fresh, tol=max(cfg.tol, 1e-10))
     val = validate_colligation(colligation, tol=1e-8)
-    checks.append(("l_unitary", val.max_residual, 1e-8))
+    checks.append(Check("l_unitary", val.max_residual, 1e-8))
     rt_pts = sample_rG(50, spec.r, cfg.seed + 3)
     rt_f = evaluate(colligation, rt_pts)[1][0]
     roundtrip = float(np.max(np.abs(rt_f - model_f_eval(model, rt_pts))))
-    checks.append(("roundtrip_f", roundtrip, 1e-8))
+    checks.append(Check("roundtrip_f", roundtrip, 1e-8))
     if cfg.output_path is not None:
         jsonio.dump_json(jsonio.colligation_to_json(colligation), cfg.output_path)
-    return _finish("synthesize", checks, cfg.seed, len(pts), started)
+    return _finish(cfg, checks, len(pts))
 
 
 def cmd_kernel_check(cfg: RunConfig) -> Report:
-    started = time.perf_counter()
     d1, d2 = cfg.dims
     if d1 < 1 or d2 < 1:
         raise ConfigError(f"--dims must both be >= 1, got {d1},{d2}")
@@ -192,39 +178,32 @@ def cmd_kernel_check(cfg: RunConfig) -> Report:
         residuals["substitution"].append(substitution_residual(ctx, lams, mus))
         residuals["hermitian_symmetry"].append(hermitian_symmetry_residual(ctx, pairs_s, pairs_t))
     checks = [
-        (name, float(np.max(np.concatenate(res), initial=0.0)), cfg.tol)
+        Check(name, float(np.max(np.concatenate(res), initial=0.0)), cfg.tol)
         for name, res in residuals.items()
     ]
-    return _finish("kernel-check", checks, cfg.seed, n_unitaries * per, started)
+    return _finish(cfg, checks, n_unitaries * per)
 
 
 def cmd_catalog(cfg: RunConfig) -> Report:
-    started = time.perf_counter()
     if cfg.name is None:
         raise ConfigError(f"catalog requires --name (one of {', '.join(CATALOG_NAMES)})")
     params = named_params(cfg.name, cfg.r, cfg.seed)
-    campaign = catalog_campaign(params, cfg.name, cfg.samples, cfg.seed)
-    checks = [
-        ("crosscheck_gap", campaign.max_gap, cfg.tol),
-        ("schur_bound", max(0.0, campaign.max_abs_f - 1.0), 1e-12),
-        ("denominator_floor_gap", max(0.0, 1e-8 - campaign.min_denominator), 0.0),
-    ]
+    checks = list(catalog_campaign(params, cfg.samples, cfg.seed, tol=cfg.tol).checks)
     if cfg.name == "upsilon":
         _, closed_form = rank_one_build(params)
         pts = np.array(sample_rG(min(cfg.samples, 200), cfg.r, cfg.seed + 1)).reshape(-1, 2)
         gap = np.abs(closed_form(pts) - upsilon(params.omega1, cfg.r, pts))
-        checks.append(("upsilon_identity", float(np.max(gap, initial=0.0)), 1e-12))
-    return _finish("catalog", checks, cfg.seed, cfg.samples, started)
+        checks.append(Check("upsilon_identity", float(np.max(gap, initial=0.0)), 1e-12))
+    return _finish(cfg, checks, cfg.samples)
 
 
 def cmd_sample(cfg: RunConfig) -> Report:
-    started = time.perf_counter()
     pts = sample_rG(cfg.samples, cfg.r, cfg.seed)
     bad = outside_points(np.array(pts, dtype=complex).reshape(-1, 2), cfg.r)
-    checks = [("membership", float(len(bad)), 0.0)]
+    checks = [Check("membership", float(len(bad)), 0.0)]
     if cfg.output_path is not None:
         jsonio.dump_json(jsonio.points_to_json(pts), cfg.output_path)
-    return _finish("sample", checks, cfg.seed, cfg.samples, started)
+    return _finish(cfg, checks, cfg.samples)
 
 
 _COMMANDS = {
@@ -292,6 +271,7 @@ def _parser() -> argparse.ArgumentParser:
 def run(argv: Sequence[str] | None = None) -> int:
     args = vars(_parser().parse_args(argv))
     command = args.pop("command")
+    started = time.perf_counter()
     try:
         if "dims" in args:
             args["dims"] = _parse_dims(args["dims"])
@@ -303,6 +283,7 @@ def run(argv: Sequence[str] | None = None) -> int:
     except SkewBidiscError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
+    report.elapsed_ms = (time.perf_counter() - started) * 1000.0
     print(json.dumps(asdict(report), indent=2))
     return 0 if report.passed else 1
 

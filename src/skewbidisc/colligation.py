@@ -264,8 +264,13 @@ class Check(NamedTuple):
 
 @dataclass(frozen=True)
 class ValidationReport:
-    passed: bool
+    """The checks of one campaign; it passes when every check does."""
+
     checks: tuple[Check, ...]
+
+    @property
+    def passed(self) -> bool:
+        return all(c.passed for c in self.checks)
 
     @property
     def max_residual(self) -> float:
@@ -291,4 +296,4 @@ def validate_colligation(c: Colligation, tol: float = 1e-10) -> ValidationReport
     checks.append(Check("u_unitary_left", linalg.spectral_norm(c.U.conj().T @ c.U - eye_u), tol))
     checks.append(Check("u_unitary_right", linalg.spectral_norm(c.U @ c.U.conj().T - eye_u), tol))
     checks.append(Check("d_contraction", max(0.0, linalg.spectral_norm(c.D) - 1.0), tol))
-    return ValidationReport(passed=all(ch.passed for ch in checks), checks=tuple(checks))
+    return ValidationReport(tuple(checks))

@@ -165,14 +165,13 @@ def outside_points(stack: np.ndarray, r: float, domain: str = "r.G") -> list[int
 
     ``domain`` is ``"r.G"`` or ``"rD x D"``.  An array screen settles the points it
     shows to be inside: the exact moduli test on ``rD x D``, :func:`_rG_screen` on
-    ``r.G``.  The scalar ``in_skew_bidisc`` or ``in_rG`` decides the rest, and alone
-    decides a single point, for which it is the cheaper test.
+    ``r.G``.  The scalar ``in_skew_bidisc`` or ``in_rG`` decides the rest.
     """
     member, screen = {
         "r.G": (in_rG, _rG_screen),
         "rD x D": (in_skew_bidisc, _skew_bidisc_screen),
     }[domain]
-    unsettled = [0] if len(stack) == 1 else np.flatnonzero(~screen(stack, r)).tolist()
+    unsettled = np.flatnonzero(~screen(stack, r)).tolist()
     return [k for k in unsettled if not member(tuple(stack[k].tolist()), r)]
 
 

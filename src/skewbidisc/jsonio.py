@@ -18,7 +18,7 @@ import numpy as np
 
 from .colligation import Colligation, SubspaceSplit
 from .domains import Point2
-from .errors import ParseError
+from .errors import ConfigError, ParseError
 from .synthesis import BidiscModelSpec, PolyVectorMap, ScalarPoly
 
 
@@ -206,4 +206,7 @@ def load_json(path: str | Path, where: str = "input") -> Any:
 
 
 def dump_json(obj: Any, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(obj, indent=2) + "\n")
+    try:
+        Path(path).write_text(json.dumps(obj, indent=2) + "\n")
+    except OSError as exc:
+        raise ConfigError(f"output: cannot write {path}: {exc}") from exc

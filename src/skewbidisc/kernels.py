@@ -115,9 +115,10 @@ def _on_pairs(domain: str):
     return lift
 
 
-@_on_pairs("rD x D")
-def kernel_Z(ctx: KernelContext, lam, mu) -> np.ndarray:
-    """Evaluate the skew-bidisc kernel Z at pairs (lam, mu) of points of rD x D."""
+# Z and Y on stacks already checked: the residuals call these, since a second
+# membership test costs about 4 us per point in r.G.  The substituted points of
+# substitution_residual lie in r.G by construction (roots l1 and r l2 in rD).
+def _z(ctx: KernelContext, lam: np.ndarray, mu: np.ndarray) -> np.ndarray:
     l1, l2 = lam[:, 0], lam[:, 1]
     m1, m2 = mu[:, 0].conj(), mu[:, 1].conj()
     r = ctx.r
@@ -129,12 +130,16 @@ def kernel_Z(ctx: KernelContext, lam, mu) -> np.ndarray:
     )
 
 
-# Y on stacks already checked: the r.G residuals reuse it, since a second
-# membership test in r.G costs about 4 us per point.
 def _y(ctx: KernelContext, s: np.ndarray, t: np.ndarray) -> np.ndarray:
     s1, s2 = s[:, 0], s[:, 1]
     t1, t2 = t[:, 0].conj(), t[:, 1].conj()
     return _combine(ctx, len(s), 2.0, -t1, 0.0, -s1, t2 * s1, 0.0, t1 * s2, -2.0 * t2 * s2)
+
+
+@_on_pairs("rD x D")
+def kernel_Z(ctx: KernelContext, lam, mu) -> np.ndarray:
+    """Evaluate the skew-bidisc kernel Z at pairs (lam, mu) of points of rD x D."""
+    return _z(ctx, lam, mu)
 
 
 @_on_pairs("r.G")
@@ -152,9 +157,8 @@ def _pi_t_r(lam: np.ndarray, r: float) -> np.ndarray:
 @_on_pairs("rD x D")
 def substitution_residual(ctx: KernelContext, lam, mu):
     """Spectral norm of Z(lam, mu) - Y(s, t), where s = pi(t_r(lam)), t = pi(t_r(mu))."""
-    return linalg.spectral_norm(
-        kernel_Z(ctx, lam, mu) - kernel_Y(ctx, _pi_t_r(lam, ctx.r), _pi_t_r(mu, ctx.r))
-    )
+    s, t = _pi_t_r(lam, ctx.r), _pi_t_r(mu, ctx.r)
+    return linalg.spectral_norm(_z(ctx, lam, mu) - _y(ctx, s, t))
 
 
 @_on_pairs("r.G")

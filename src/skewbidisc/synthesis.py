@@ -30,7 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from . import linalg
-from .colligation import ROperator, SubspaceSplit, build_R
+from .colligation import Check, ROperator, SubspaceSplit, build_R
 from .domains import (
     Point2,
     _as_stack,
@@ -308,8 +308,8 @@ def model_f_eval(m: SynthesizedModel, s):
     return complex(f[0]) if one else f
 
 
-def kernel_checks(m: SynthesizedModel, lam) -> list[tuple[str, float, float]]:
-    """Checks ``(name, residual, threshold)`` of w on the pair grid of a stack of rD x D.
+def kernel_checks(m: SynthesizedModel, lam) -> list[Check]:
+    """Checks of w on the pair grid of a stack of rD x D.
 
     ``kernel_z_identity`` is 1 - conj(F(mu)) F(lam) = <Z(lam, mu) w(lam), w(mu)>.
     With a = (1 - r l2 U R^-1) w and b = (1 - l1 U R^-1) w, the product form of
@@ -327,8 +327,8 @@ def kernel_checks(m: SynthesizedModel, lam) -> list[tuple[str, float, float]]:
     b_fam = np.column_stack([m.spec.F.eval(lam), a, b])
     w_sym = np.linalg.norm(_w(m, sigma(lam, r)) - w, axis=1)
     return [
-        ("kernel_z_identity", linalg.gram_gap(a_fam.T, b_fam.T), 1e-9),
-        ("w_symmetry", float(np.max(w_sym, initial=0.0)), 1e-9),
+        Check("kernel_z_identity", linalg.gram_gap(a_fam.T, b_fam.T), 1e-9),
+        Check("w_symmetry", float(np.max(w_sym, initial=0.0)), 1e-9),
     ]
 
 

@@ -83,22 +83,41 @@ def test_blend_closed_form_formula():
 
 @pytest.mark.parametrize("name", CATALOG_NAMES)
 def test_crosscheck_closes_the_loop(name):
-    gap = catalog_campaign(named_params(name, R, seed=8), name, n=150, seed=9).max_gap
-    assert gap < 1e-11
+    report = catalog_campaign(named_params(name, R, seed=8), n=150, seed=9)
+    assert _residuals(report)["crosscheck_gap"] < 1e-11
 
 
 def test_campaign_reports_schur_bound_and_denominator():
-    report = catalog_campaign(random_params(0.25, seed=10), "rank-one", n=300, seed=11)
-    assert report.max_gap < 1e-11
-    assert report.max_abs_f <= 1.0 + 1e-12
-    assert report.min_denominator > 1e-3
-    assert report.n == 300
+    p = random_params(0.25, seed=10)
+    report = catalog_campaign(p, n=300, seed=11)
+    assert report.passed
+    assert [(ch.name, ch.threshold) for ch in report.checks] == [
+        ("crosscheck_gap", 1e-10), ("schur_bound", 1e-12), ("denominator_floor_gap", 0.0)
+    ]
+    residual = _residuals(report)
+    assert residual["crosscheck_gap"] < 1e-11
+    assert residual["schur_bound"] <= 1e-12
+    assert residual["denominator_floor_gap"] == 0.0
+    # The denominator floor on the campaign's own points.
+    pts = np.array(domains.sample_rG(300, p.r, 11))
+    assert catalog._closed_form_and_denominator(p, pts)[1].min() > 1e-3
 
 
 def test_campaign_zero_samples():
-    report = catalog_campaign(upsilon_params(R, W1), "upsilon", n=0, seed=0)
-    assert report.max_gap == 0.0
-    assert report.min_denominator == float("inf")
+    p = upsilon_params(R, W1)
+    report = catalog_campaign(p, n=0, seed=0)
+    assert report.passed and [ch.residual for ch in report.checks] == [0.0, 0.0, 0.0]
+    assert catalog._closed_form_and_denominator(p, np.empty((0, 2), dtype=complex))[1].size == 0
+
+
+def test_campaign_tol_sets_the_crosscheck_threshold():
+    report = catalog_campaign(upsilon_params(R, W1), n=50, seed=1, tol=1e-30)
+    assert [ch.threshold for ch in report.checks] == [1e-30, 1e-12, 0.0]
+    assert report.passed == (_residuals(report)["crosscheck_gap"] <= 1e-30)
+
+
+def _residuals(report):
+    return {ch.name: ch.residual for ch in report.checks}
 
 
 def test_hand_built_defective_colligation_fails_validation():

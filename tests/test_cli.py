@@ -185,6 +185,39 @@ def test_exit_code_2_on_config_errors(capsys, colligation_file):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("tol", ["inf", "1e309", "nan"])
+def test_commands_refuse_a_non_finite_tol(capsys, tmp_path, spec_file, tol):
+    # |f| = 5 everywhere: an infinite --tol would pass certify's schur_bound.
+    c = random_colligation(SubspaceSplit(1, 1), 0.5, seed=2)
+    path = tmp_path / "five.json"
+    jsonio.dump_json(jsonio.colligation_to_json(
+        Colligation(r=c.r, split=c.split, a=5.0, beta=0 * c.beta, gamma=c.gamma, D=c.D, U=c.U)
+    ), path)
+    for argv in (
+        ["validate", "--input", str(path)],
+        ["certify", "--input", str(path), "--samples", "5"],
+        ["synthesize", "--input", str(spec_file)],
+        ["kernel-check", "--dims", "1,1", "--samples", "3"],
+        ["catalog", "--name", "magic", "--samples", "3"],
+    ):
+        assert run(argv + ["--tol", tol]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--tol must be positive and finite" in captured.err
+
+
+@pytest.mark.parametrize("command", ["sample", "synthesize"])
+def test_unwritable_output_exits_2_naming_the_path(capsys, spec_file, tmp_path, command):
+    target = tmp_path / "missing" / "out.json"
+    argv = {
+        "sample": ["sample", "--samples", "3"],
+        "synthesize": ["synthesize", "--input", str(spec_file)],
+    }[command]
+    assert run(argv + ["--output", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"cannot write {target}" in captured.err
+    assert not target.parent.exists()
+
+
 def test_commands_refuse_flags_they_do_not_read(capsys, colligation_file):
     for argv in (
         ["validate", "--input", str(colligation_file), "--samples", "5"],

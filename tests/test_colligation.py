@@ -5,8 +5,10 @@ import pytest
 
 from skewbidisc import domains, linalg
 from skewbidisc.colligation import (
+    Check,
     Colligation,
     SubspaceSplit,
+    ValidationReport,
     build_R,
     norm_bound,
     random_colligation,
@@ -296,6 +298,15 @@ def test_validate_colligation_passes_for_permutation():
     report = validate_colligation(c)
     assert report.passed
     assert report.max_residual < 1e-12
+
+
+def test_validation_report_passes_only_when_every_check_does():
+    ok, bad = Check("ok", 1e-12, 1e-10), Check("bad", 2e-10, 1e-10)
+    assert ValidationReport(()).passed and ValidationReport(()).max_residual == 0.0
+    assert ValidationReport((ok,)).passed
+    report = ValidationReport((ok, bad))
+    assert not report.passed and report.max_residual == 2e-10
+    assert not ValidationReport((Check("nan", float("nan"), 1.0),)).passed
 
 
 def test_validate_colligation_catches_nonunitary_L():

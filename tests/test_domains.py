@@ -290,6 +290,16 @@ def test_array_samplers_reproduce_the_scalar_stream_bit_for_bit(r):
             assert _hex(skew) == _hex(ref_skew)
 
 
+@pytest.mark.parametrize("r", [1e-4, 0.5, 1 - 1e-6])
+def test_first_twenty_points_are_a_prefix_of_any_larger_sample(r):
+    # schur_certify's pair grid is the first min(n, 20) columns of its n points,
+    # which is the grid sample_rG(min(n, 20), r, seed) draws on its own.
+    for seed in range(200):
+        for n in (0, 1, 19, 20, 21, 300, 1000):
+            m = min(n, 20)
+            assert _hex(domains.sample_rG(m, r, seed)) == _hex(domains.sample_rG(n, r, seed)[:m])
+
+
 def test_samplers_refuse_negative_sizes():
     for sample in (
         lambda: domains.sample_rG(-3, 0.5, 1),
@@ -310,6 +320,16 @@ def test_point_stack_shapes():
     for bad in (np.zeros((0, 5)), np.zeros((0, 2, 2)), np.zeros(3), np.zeros((2, 3))):
         with pytest.raises(ShapeMismatch):
             domains.point_stack(bad, r)
+
+
+@pytest.mark.parametrize("domain", ["r.G", "rD x D"])
+def test_outside_points_decides_a_single_point_as_the_scalar_test(domain):
+    r = 0.5
+    member = domains.in_rG if domain == "r.G" else domains.in_skew_bidisc
+    pts = _adversarial_rG_points(r, np.random.default_rng(5))[::450]  # 500 points
+    for p in pts:
+        expected = [] if member(tuple(p.tolist()), r) else [0]
+        assert domains.outside_points(p[None, :], r, domain) == expected
 
 
 def _first_outside_reference(stack, r, member):

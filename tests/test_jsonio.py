@@ -3,7 +3,7 @@ import pytest
 
 from skewbidisc import jsonio
 from skewbidisc.colligation import SubspaceSplit, random_colligation
-from skewbidisc.errors import ParseError
+from skewbidisc.errors import ConfigError, ParseError
 from skewbidisc.synthesis import BidiscModelSpec, PolyVectorMap, ScalarPoly
 
 
@@ -114,6 +114,12 @@ def test_points_roundtrip(tmp_path):
     jsonio.dump_json(jsonio.points_to_json(pts), path)
     back = jsonio.points_from_json(jsonio.load_json(path))
     assert back == pts
+
+
+def test_dump_json_failures_name_the_path(tmp_path):
+    for path in (tmp_path / "missing" / "out.json", tmp_path):
+        with pytest.raises(ConfigError, match=f"cannot write {path}"):
+            jsonio.dump_json([], path)
 
 
 def test_load_json_failures(tmp_path):

@@ -82,6 +82,26 @@ def test_array_substitution_map_matches_pi_of_t_r(r):
     assert np.max(np.abs(got - ref)) <= DIFF_TOL
 
 
+def test_substitution_residual_checks_its_points_once(ctx, monkeypatch):
+    from skewbidisc import kernels
+
+    lam = domains.sample_skew_bidisc(50, ctx.r, seed=49)
+    mu = domains.sample_skew_bidisc(50, ctx.r, seed=50)
+    s, t = (_pi_t_r(np.array(p, dtype=complex), ctx.r) for p in (lam, mu))
+    expected = linalg.spectral_norm(kernel_Z(ctx, lam, mu) - kernel_Y(ctx, s, t))
+    seen = []
+    point_stack = kernels.point_stack
+
+    def recording(p, r, domain="r.G"):
+        seen.append(domain)
+        return point_stack(p, r, domain)
+
+    monkeypatch.setattr(kernels, "point_stack", recording)
+    got = substitution_residual(ctx, lam, mu)
+    assert seen == ["rD x D", "rD x D"]  # the mapped points are in r.G by construction
+    np.testing.assert_array_equal(got, expected)
+
+
 def test_kernels_at_origin(ctx):
     np.testing.assert_allclose(kernel_Y(ctx, (0.0, 0.0), (0.0, 0.0)), 2 * np.eye(3), atol=1e-14)
     np.testing.assert_allclose(kernel_Z(ctx, (0.0, 0.0), (0.0, 0.0)), 2 * np.eye(3), atol=1e-14)

@@ -53,6 +53,10 @@ def _f_reference(c, s):
     return c.a + complex(np.vdot(c.beta, _frac_reference(c, s) @ _u_reference(c, s)))
 
 
+def _residuals(report):
+    return {ch.name: ch.residual for ch in report.checks}
+
+
 def _model_residual_reference(c, s, t):
     frac_s, frac_t = _frac_reference(c, s), _frac_reference(c, t)
     u_s, u_t = _u_reference(c, s), _u_reference(c, t)
@@ -107,12 +111,19 @@ def test_stacked_evaluation_matches_one_point_formulas(dims, r):
     pairs = list(zip(pts[:10], pts[10:20])) + [(s, s) for s in pts[20:]]
     for s, t in pairs:
         assert abs(model_residual(c, s, t) - _model_residual_reference(c, s, t)) <= DIFF_TOL
-    report = schur_certify(c, 30, seed=51)
-    assert abs(report.max_abs_f - max(abs(_f_reference(c, s)) for s in pts)) <= DIFF_TOL
+    residual = _residuals(schur_certify(c, 30, seed=51))
+    ref_max = max(abs(_f_reference(c, s)) for s in pts)
+    assert abs(residual["schur_bound"] - max(0.0, ref_max - 1.0)) <= DIFF_TOL
     ref_diag = max(_model_residual_reference(c, s, s) for s in pts)
-    assert abs(report.max_diag_residual - ref_diag) <= DIFF_TOL
-    ref_pairs = max(_model_residual_reference(c, s, t) for s in pts[:8] for t in pts[:8])
-    assert abs(linalg.gram_gap(*evaluate(c, pts[:8])) - ref_pairs) <= DIFF_TOL
+    assert abs(residual["diag_model_residual"] - ref_diag) <= DIFF_TOL
+    ref_pairs = max(_model_residual_reference(c, s, t) for s in pts[:20] for t in pts[:20])
+    assert abs(residual["pair_model_residual"] - ref_pairs) <= DIFF_TOL
+    # Lifted so that |f| > 1 everywhere: the Schur residual then pins max |f| itself.
+    lifted = replace(c, a=c.a + 2.5)
+    ref_max = max(abs(_f_reference(lifted, s)) for s in pts)
+    assert ref_max > 1.0
+    residual = _residuals(schur_certify(lifted, 30, seed=51))
+    assert abs(residual["schur_bound"] - (ref_max - 1.0)) <= DIFF_TOL
 
 
 def test_stacked_evaluation_of_no_points():
@@ -121,7 +132,7 @@ def test_stacked_evaluation_of_no_points():
     assert a_fam.shape == b_fam.shape == (1 + c.dim, 0)
     assert linalg.gram_gap(a_fam, b_fam) == 0.0
     report = schur_certify(c, 0, seed=0)
-    assert report.passed and report.max_abs_f == report.max_diag_residual == 0.0
+    assert report.passed and [ch.residual for ch in report.checks] == [0.0, 0.0, 0.0]
 
 
 def test_stacked_evaluation_in_blocks_matches_one_block(monkeypatch):
@@ -205,11 +216,25 @@ def test_stacked_evaluation_against_50_digit_oracle(r):
 def test_schur_certify_vacuous_and_valid():
     c = random_colligation(SubspaceSplit(1, 2), R_DEFAULT, seed=6)
     empty = schur_certify(c, 0, seed=0)
-    assert empty.passed and empty.max_abs_f == 0.0
+    assert empty.passed and [ch.residual for ch in empty.checks] == [0.0, 0.0, 0.0]
     report = schur_certify(c, 300, seed=7)
     assert report.passed
-    assert report.max_abs_f <= 1.0 + 1e-12
-    assert report.max_diag_residual < 1e-12
+    assert [ch.name for ch in report.checks] == [
+        "schur_bound", "diag_model_residual", "pair_model_residual"
+    ]
+    assert [ch.threshold for ch in report.checks] == [1e-12, 1e-9, 1e-9]
+    residual = _residuals(report)
+    assert residual["schur_bound"] <= 1e-12
+    assert residual["diag_model_residual"] < 1e-12
+
+
+@pytest.mark.parametrize("n", [0, 1, 19, 20, 21, 300])
+def test_schur_certify_pair_grid_is_the_first_twenty_points(n):
+    c = random_colligation(SubspaceSplit(2, 3), R_DEFAULT, seed=63)
+    c.a += 0.05  # off the model identity, so the pair residual is not roundoff
+    grid = domains.sample_rG(min(n, 20), c.r, 64)
+    expected = linalg.gram_gap(*evaluate(c, grid))
+    assert _residuals(schur_certify(c, n, seed=64))["pair_model_residual"] == expected
 
 
 def test_schur_certify_fails_for_inflated_constant():
@@ -224,7 +249,7 @@ def test_schur_certify_fails_for_inflated_constant():
     )
     report = schur_certify(c, 10, seed=8)
     assert not report.passed
-    assert report.max_abs_f == pytest.approx(1.2)
+    assert _residuals(report)["schur_bound"] == pytest.approx(0.2)
 
 
 def _model_from(c: Colligation) -> GrModel:
