@@ -143,6 +143,12 @@ class Colligation:
         L[1:, 1:] = self.D
         return L
 
+    @classmethod
+    def from_l_matrix(cls, L: np.ndarray, r: float, split: SubspaceSplit, U) -> Colligation:
+        """The colligation whose :meth:`l_matrix` is L, with the given r, split and U."""
+        return cls(r=r, split=split, a=L[0, 0], beta=L[0, 1:].conj().copy(),
+                   gamma=L[1:, 0].copy(), D=L[1:, 1:].copy(), U=U)
+
 
 def random_colligation(split: SubspaceSplit, r: float, seed: int) -> Colligation:
     """A valid colligation drawn from Haar measure; useful for campaigns."""
@@ -150,16 +156,7 @@ def random_colligation(split: SubspaceSplit, r: float, seed: int) -> Colligation
         raise InvalidParams("random colligation needs a proper split")
     rng = np.random.Generator(np.random.Philox(seed))
     L = linalg.haar_unitary(split.total + 1, rng)
-    U = linalg.haar_unitary(split.total, rng)
-    return Colligation(
-        r=r,
-        split=split,
-        a=L[0, 0],
-        beta=L[0, 1:].conj().copy(),
-        gamma=L[1:, 0].copy(),
-        D=L[1:, 1:].copy(),
-        U=U,
-    )
+    return Colligation.from_l_matrix(L, r, split, linalg.haar_unitary(split.total, rng))
 
 
 def s_UR(s, U: np.ndarray, R: ROperator) -> np.ndarray:
@@ -172,48 +169,38 @@ def s_UR(s, U: np.ndarray, R: ROperator) -> np.ndarray:
     NotInvertible if a resolvent factor fails, which for points of r.G
     indicates the input was corrupt rather than a true singularity.
     """
+    stack, one, u, den = _resolvent_factors(s, U, R)
+    s1, s2 = stack[:, 0, None, None], stack[:, 1, None, None]
+    num = 2.0 * s2 * (R.inv_matrix @ u) - s1 * np.eye(u.shape[0])
+    fracs = num @ np.linalg.inv(den)
+    return fracs[0] if one else fracs
+
+
+def _resolvent_factors(s, U, R: ROperator, first: int = 0):
+    """The (N, 2) point stack, whether ``s`` was one point, U, and the factors 2 R - s1 U.
+
+    Every factor passes :func:`linalg.inverse`'s singular-value test.  As R = diag(1, r),
+    sigma_min >= 2 r - |s1| ||U|| and sigma_max <= 2 + |s1| ||U|| (Weyl); where the first
+    is at least 2 ``linalg.RCOND`` times the second (the 2 absorbs roundoff) the factor
+    passes, and only the others (non-unitary U, |s1| near 2 r) are tested by SVD.
+    NotInvertible names the first failing point and its index, counted from ``first``
+    for a block of a larger stack, as if every factor had been tested.
+    """
     stack, one = point_stack(s, R.r)
     u = linalg._as_square(U, "U")
     if u.shape != R.matrix.shape:
         raise ShapeMismatch(f"U has shape {u.shape}, R has shape {R.matrix.shape}")
-    s1, s2 = stack[:, 0, None, None], stack[:, 1, None, None]
-    num = 2.0 * s2 * (R.inv_matrix @ u) - s1 * np.eye(u.shape[0])
-    try:
-        fracs = num @ _resolvent_inverse(s1, u, R)
-    except SingularMatrix as exc:
-        s1, s2 = stack[exc.index].tolist()
-        raise NotInvertible(f"resolvent factor singular at ({s1}, {s2}) in r.G: {exc}") from exc
-    return fracs[0] if one else fracs
-
-
-def _resolvent_inverse(s1: np.ndarray, u: np.ndarray, R: ROperator) -> np.ndarray:
-    """Inverses of 2 R - s1 U for an (N, 1, 1) stack s1, SVD-guarded only where a bound fails.
-
-    Since R = diag(1, r) with r < 1, Weyl's inequality gives
-    sigma_min(2 R - s1 U) >= 2 r - |s1| ||U|| and sigma_max <= 2 + |s1| ||U||.
-    Where the first is at least twice ``linalg.RCOND`` times the second, the
-    factor passes :func:`linalg.inverse`'s singular-value test, and the factor
-    2 absorbs the roundoff of that test and of the norm bound.  Those factors
-    are inverted directly; the others (non-unitary U, |s1| near 2 r) go
-    through :func:`linalg.inverse`.  A SingularMatrix carries the index of
-    the first failing factor of the whole stack, as if every factor had
-    been tested.
-    """
+    den = 2.0 * R.matrix - stack[:, 0, None, None] * u
     # sqrt of the largest row sum of |U^H U| bounds ||U||_2 (rho(A) <= ||A||_inf).
-    norm_u = np.sqrt(np.max(np.sum(np.abs(u.conj().T @ u), axis=1)))
-    reach = np.abs(s1[:, 0, 0]) * norm_u
-    settled = 2.0 * R.r - reach >= 2.0 * linalg.RCOND * (2.0 + reach)
-    factors = 2.0 * R.matrix - s1 * u
-    if settled.all():
-        return np.linalg.inv(factors)
-    inv = np.empty_like(factors)
-    inv[settled] = np.linalg.inv(factors[settled])
-    try:
-        inv[~settled] = linalg.inverse(factors[~settled])
-    except SingularMatrix:
-        linalg.inverse(factors)  # raises for the same factor, indexed in the whole stack
-        raise
-    return inv
+    reach = np.abs(stack[:, 0]) * np.sqrt(np.max(np.sum(np.abs(u.conj().T @ u), axis=1)))
+    unsettled = np.flatnonzero(2.0 * R.r - reach < 2.0 * linalg.RCOND * (2.0 + reach))
+    if unsettled.size:
+        try:
+            linalg.inverse(den[unsettled], first + unsettled)
+        except SingularMatrix as exc:
+            z1, z2 = stack[exc.index - first].tolist()
+            raise NotInvertible(f"resolvent factor singular at ({z1}, {z2}) in r.G: {exc}") from exc
+    return stack, one, u, den
 
 
 def s_T(q, T: np.ndarray) -> np.ndarray:

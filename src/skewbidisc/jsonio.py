@@ -33,6 +33,14 @@ def complex_from_json(obj: Any, where: str) -> complex:
     return complex(_real_number(obj["re"], f"{where}.re"), _real_number(obj["im"], f"{where}.im"))
 
 
+def _plain_complex(obj: Any) -> complex | None:
+    """The finite value of a {"re": float, "im": float} object, else None for the strict path."""
+    if type(obj) is dict and len(obj) == 2 and type(obj.get("re")) is type(obj.get("im")) is float:
+        if math.isfinite(obj["re"]) and math.isfinite(obj["im"]):
+            return complex(obj["re"], obj["im"])
+    return None
+
+
 def vector_to_json(vec) -> list:
     return [complex_to_json(z) for z in np.asarray(vec, dtype=complex).reshape(-1)]
 
@@ -40,9 +48,10 @@ def vector_to_json(vec) -> list:
 def vector_from_json(obj: Any, where: str) -> np.ndarray:
     if not isinstance(obj, list):
         raise ParseError(f"{where}: expected an array")
-    return np.array(
-        [complex_from_json(z, f"{where}[{i}]") for i, z in enumerate(obj)], dtype=complex
-    )
+    values = [_plain_complex(z) for z in obj]
+    if None in values:
+        values = [complex_from_json(z, f"{where}[{i}]") for i, z in enumerate(obj)]
+    return np.array(values, dtype=complex)
 
 
 def matrix_to_json(mat) -> list:

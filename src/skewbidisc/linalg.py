@@ -56,7 +56,7 @@ def as_vector(x, name: str = "vector") -> np.ndarray:
     return a
 
 
-def inverse(m) -> np.ndarray:
+def inverse(m, index=None) -> np.ndarray:
     """Invert a square matrix, or each matrix of a ``(..., n, n)`` stack.
 
     Raises
@@ -65,6 +65,7 @@ def inverse(m) -> np.ndarray:
         If, for some matrix, the smallest singular value is below ``RCOND``
         times the largest (the zero matrix counts as singular).  The whole
         stack is tested, by one batched SVD, before anything is inverted.
+        Given ``index``, it names the k-th matrix ``index[k]``, its place in a larger stack.
     """
     a = _as_square(m, "inverse operand", stack=True)
     if a.size == 0:
@@ -73,10 +74,11 @@ def inverse(m) -> np.ndarray:
     bad = (svals[:, 0] == 0.0) | (svals[:, -1] < RCOND * svals[:, 0])
     if bad.any():
         k = int(np.argmax(bad))
+        at = k if index is None else int(index[k])
         raise SingularMatrix(
             f"smallest singular value {svals[k, -1]:.3e} below {RCOND:.1e} * norm "
-            f"{svals[k, 0]:.3e}" + (f" (matrix {k} of the stack)" if a.ndim > 2 else ""),
-            index=k,
+            f"{svals[k, 0]:.3e}" + (f" (matrix {at} of the stack)" if a.ndim > 2 else ""),
+            index=at,
         )
     return np.linalg.inv(a)
 

@@ -9,13 +9,13 @@ and f then satisfies the model identity
     1 - conj(f(t)) f(s) = < (1 - t_{U,R}* s_{U,R}) u(s), u(t) >
 
 for all s, t in r.G, which in particular bounds |f| by 1.  :func:`evaluate`
-solves a whole stack of points at once; the one-point functions are views
-of it.  Conversely, :func:`realization_from_model` recovers a colligation
-from any model (u_eval, f_eval) satisfying that identity, by completing
-the partial isometry that sends [1; s_{U,R} u(s)] to [f(s); u(s)] across a
-family of sample points.  On a grid of points the identity is the equality
-of the Gramians of those two families, built by :func:`evaluate` and
-:func:`model_families`.
+solves a whole stack of points at once, one solve of the pencil M - D N per
+point (s_{U,R} = N M^{-1}); the one-point functions are views of it.
+Conversely, :func:`realization_from_model` recovers a colligation from any
+model (u_eval, f_eval) satisfying that identity, by completing the partial
+isometry that sends [1; s_{U,R} u(s)] to [f(s); u(s)] across a family of
+sample points.  On a grid of points the identity is the equality of the
+Gramians of those two families, built by :func:`evaluate` and :func:`model_families`.
 """
 
 from __future__ import annotations
@@ -26,9 +26,10 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import linalg
-from .colligation import Check, Colligation, ROperator, ValidationReport, s_T, s_UR
-from .colligation import validate_colligation
-from .domains import Point2, _as_stack, check_r, point_stack, sample_rG
+from .colligation import Check, Colligation, ROperator, ValidationReport, s_T
+from .colligation import _resolvent_factors, validate_colligation
+from .colligation import s_UR  # noqa: F401  bench/test_bench.py rebinds realization.s_UR
+from .domains import Point2, check_r, point_stack, sample_rG
 from .errors import InsufficientSamples, InvalidParams, NotInvertible, ShapeMismatch
 
 Evaluator = Callable[[Sequence[complex]], np.ndarray]
@@ -58,24 +59,33 @@ def evaluate(c: Colligation, pts) -> tuple[np.ndarray, np.ndarray]:
     One column per point of ``pts`` (shape (N, 2)); row 0 of B is f, its
     other rows are u.  Entry (i, j) of Gram(A) - Gram(B) is the model
     identity defect at (s, t) = (s_j, s_i): ``linalg.gram_gap`` of the two
-    is the worst :func:`model_residual` over all pairs.  The points are
-    solved in the blocks of ``linalg.blocks``, so the (N, n, n) working
-    stacks stay small however many points are asked for.
+    is the worst :func:`model_residual` over all pairs.
+
+    With s_{U,R} = N M^{-1}, N = 2 s2 R^{-1} U - s1 and M = 2 R - s1 U, each point
+    costs one solve y = (M - D N)^{-1} gamma, and s_{U,R} u = N y, u = M y.  The
+    points are solved in the blocks of ``linalg.blocks``, so the (N, n, n) working
+    stacks stay small; an error names its point by the index in ``pts``.
     """
     pts = np.asarray(pts, dtype=complex)
     if pts.size and pts.ndim != 2:
         raise ShapeMismatch(f"points must have shape (N, 2), got {pts.shape}")
     a_fam = np.ones((1 + c.dim, len(pts)), dtype=complex)
     b_fam = np.empty_like(a_fam)
+    r_diag, d_ru = np.diag(c.R.matrix), c.D @ (c.R.inv_matrix @ c.U)
     for b in linalg.blocks(len(pts), c.dim):
-        frac = s_UR(pts[b], c.U, c.R)
-        gamma = np.broadcast_to(c.gamma[:, None], (len(frac), c.dim, 1))
+        stack, _, _, den = _resolvent_factors(pts[b], c.U, c.R, b.start)
+        s1, s2 = stack[:, :1], stack[:, 1:]
+        pencil = den - (2.0 * s2[:, :, None] * d_ru - s1[:, :, None] * c.D)  # M - D N
+        gamma = np.broadcast_to(c.gamma[:, None], (len(stack), c.dim, 1))
         try:
-            u = np.linalg.solve(np.eye(c.dim) - c.D @ frac, gamma)
+            y = np.linalg.solve(pencil, gamma)[:, :, 0]
         except np.linalg.LinAlgError as exc:  # ||D s_{U,R}|| < 1 in-domain
-            raise NotInvertible("1 - D s_UR singular at a point of the stack") from exc
-        a_fam[1:, b] = (frac @ u)[:, :, 0].T
-        b_fam[1:, b] = u[:, :, 0].T
+            k = int(np.argmax(np.linalg.slogdet(pencil)[0] == 0))  # solve's zero LU pivot
+            at = f"{tuple(stack[k].tolist())} in r.G (matrix {b.start + k} of the stack)"
+            raise NotInvertible(f"1 - D s_UR singular at {at}") from exc
+        uy = y @ c.U.T
+        a_fam[1:, b] = (2.0 * s2 * (uy / r_diag) - s1 * y).T  # N y
+        b_fam[1:, b] = (2.0 * y * r_diag - s1 * uy).T  # M y
     b_fam[0] = c.a + c.beta.conj() @ a_fam[1:]
     return a_fam, b_fam
 
@@ -122,8 +132,7 @@ def model_families(m: GrModel, pts) -> tuple[np.ndarray, np.ndarray]:
 
     Raises ShapeMismatch on values of the wrong shape or non-finite values.
     """
-    stack, _ = _as_stack(pts)
-    frac = s_UR(stack, m.U, m.R)
+    stack, _, U, den = _resolvent_factors(pts, m.U, m.R)
     n = len(stack)
     u = np.asarray(m.u_eval(stack), dtype=complex)
     f = np.asarray(m.f_eval(stack), dtype=complex)
@@ -132,7 +141,8 @@ def model_families(m: GrModel, pts) -> tuple[np.ndarray, np.ndarray]:
         raise ShapeMismatch(
             f"model maps gave u {u.shape} and f {f.shape} at {n} points, or non-finite values"
         )
-    su = (frac @ u[:, :, None])[:, :, 0]
+    z = np.linalg.solve(den, u[:, :, None])[:, :, 0]  # N z = s_{U,R} u
+    su = 2.0 * stack[:, 1:] * ((z @ U.T) / np.diag(m.R.matrix)) - stack[:, :1] * z
     return np.vstack([np.ones((1, n)), su.T]), np.vstack([f[None, :], u.T])
 
 
@@ -164,15 +174,7 @@ def realization_from_model(
             f"sampled span rank {isom.rank} equals the sample count; add points"
         )
     big_l = linalg.unitary_extension(isom, 1 + m.dim)
-    return Colligation(
-        r=m.R.r,
-        split=m.R.split,
-        a=big_l[0, 0],
-        beta=big_l[0, 1:].conj().copy(),
-        gamma=big_l[1:, 0].copy(),
-        D=big_l[1:, 1:].copy(),
-        U=m.U,
-    )
+    return Colligation.from_l_matrix(big_l, m.R.r, m.R.split, m.U)
 
 
 def scaled_model_residual(

@@ -45,6 +45,41 @@ def test_integers_too_large_for_a_float_are_parse_errors():
         jsonio.colligation_from_json(obj)
 
 
+class _Dict(dict):
+    pass
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        {"re": 3, "im": -2},
+        {"re": 0.5, "im": 10**400},
+        {"re": 0.5, "im": True},
+        {"re": float("inf"), "im": 0.0},
+        {"re": 0.0, "im": float("nan")},
+        {"re": 0.5},
+        {"re": 0.5, "x": 0.5},
+        {"re": 0.5, "im": 0.5, "x": 0.5},
+        _Dict(re=0.5, im=-0.5),
+        [0.5, 0.5],
+        None,
+    ],
+)
+def test_vector_decoding_agrees_with_the_strict_entry_decoder(entry):
+    # Entries that the unchecked fast path does not take must still decode, or
+    # fail, exactly as complex_from_json does at their location.
+    good = jsonio.complex_to_json(0.25 - 1.5j)
+    try:
+        expected = jsonio.complex_from_json(entry, "v[2]")
+    except ParseError as exc:
+        with pytest.raises(ParseError) as got:
+            jsonio.vector_from_json([good, good, entry, good], "v")
+        assert str(got.value) == str(exc)
+    else:
+        vec = jsonio.vector_from_json([good, good, entry, good], "v")
+        np.testing.assert_array_equal(vec, [0.25 - 1.5j, 0.25 - 1.5j, expected, 0.25 - 1.5j])
+
+
 def test_matrix_roundtrip_and_ragged():
     m = np.array([[1.0, 2.0j], [3.0, 4.0]], dtype=complex)
     back = jsonio.matrix_from_json(jsonio.matrix_to_json(m), "m")

@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -16,8 +17,10 @@ from skewbidisc.errors import (
     GramianMismatch,
     InsufficientSamples,
     InvalidParams,
+    NotInvertible,
     OutsideDomain,
     ShapeMismatch,
+    SingularMatrix,
 )
 from skewbidisc.realization import (
     GrModel,
@@ -184,6 +187,13 @@ def test_stacked_evaluation_names_the_point_outside_the_domain():
         evaluate(c, pts)
 
 
+def _roots_at(radius, count, seed):
+    """Points of r.G whose two roots have modulus ``radius``, at seeded angles."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    z1, z2 = radius * np.exp(2j * np.pi * rng.random((2, count)))
+    return np.column_stack([z1 + z2, z1 * z2]).tolist()
+
+
 @pytest.mark.parametrize("r", [1e-3, 0.5, 0.999])
 def test_stacked_evaluation_against_50_digit_oracle(r):
     import mpmath
@@ -192,8 +202,10 @@ def test_stacked_evaluation_against_50_digit_oracle(r):
     mp.dps = 50
     c = random_colligation(SubspaceSplit(2, 3), r, seed=55)
     pts = domains.sample_rG(4, r, seed=56)
+    for j, rho in enumerate((0.9, 1 - 1e-6, 1 - 1e-9)):  # roots near the boundary
+        pts += _roots_at(rho * r, 2, seed=57 + j)
     fracs = s_UR(pts, c.U, c.R)
-    f_vals = evaluate(c, pts)[1][0]
+    a_fam, b_fam = evaluate(c, pts)
 
     def mat(a):
         return mp.matrix([[mp.mpc(complex(x)) for x in row] for row in a])
@@ -206,11 +218,98 @@ def test_stacked_evaluation_against_50_digit_oracle(r):
     for k, (s1, s2) in enumerate(pts):
         s1, s2 = mp.mpc(complex(s1)), mp.mpc(complex(s2))
         frac = (2 * s2 * r_inv * u_op - s1 * eye) * mp.inverse(2 * r_op - s1 * u_op)
-        su = frac * mp.lu_solve(eye - d_op * frac, gamma)
+        u = mp.lu_solve(eye - d_op * frac, gamma)
+        su = frac * u
         f = mp.mpc(c.a) + mp.fsum(su[i] * mp.conj(mp.mpc(complex(c.beta[i]))) for i in range(n))
         frac_gap = max(abs(complex(frac[i, j]) - fracs[k, i, j]) for i in range(n) for j in range(n))
         assert frac_gap <= 1e-12
-        assert abs(complex(f) - f_vals[k]) <= 1e-12
+        assert abs(complex(f) - b_fam[0, k]) <= 1e-12
+        assert max(abs(complex(u[i]) - b_fam[1 + i, k]) for i in range(n)) <= 1e-12
+        assert max(abs(complex(su[i]) - a_fam[1 + i, k]) for i in range(n)) <= 1e-12
+
+
+def _evaluate_reference(c, pts):
+    """The families of evaluate from one-point s_UR calls and a solve of 1 - D s_UR each."""
+    a_ref = np.ones((1 + c.dim, len(pts)), dtype=complex)
+    b_ref = np.empty_like(a_ref)
+    for k, s in enumerate(pts):
+        frac = s_UR(s, c.U, c.R)
+        u = np.linalg.solve(np.eye(c.dim) - c.D @ frac, c.gamma)
+        a_ref[1:, k], b_ref[1:, k] = frac @ u, u
+        b_ref[0, k] = c.a + np.vdot(c.beta, frac @ u)
+    return a_ref, b_ref
+
+
+@pytest.mark.parametrize("dims", [(1, 1), (2, 3), (6, 6), (8, 8)])
+@pytest.mark.parametrize("r", [1e-4, 0.5, 1 - 1e-6])
+def test_pencil_evaluation_matches_the_one_point_fraction_and_solve(dims, r, monkeypatch):
+    c = random_colligation(SubspaceSplit(*dims), r, seed=67)
+    pts = domains.sample_rG(40, r, seed=68) + _roots_at((1 - 1e-6) * r, 4, seed=69)
+    refs = _evaluate_reference(c, pts)
+    model = model_families(_model_from(c), pts)
+    stacks = [evaluate(c, pts)]  # in the default blocks: 1, 1, 2 and 3 of them
+    monkeypatch.setattr(linalg, "BLOCK_ENTRIES", 7 * c.dim**2)
+    stacks.append(evaluate(c, pts))  # seven blocks
+    for fams in stacks:
+        for fam, ref in zip(fams, refs):
+            assert fam.shape == ref.shape and np.max(np.abs(fam - ref)) <= DIFF_TOL
+    for fam, ref in zip(model, refs):
+        assert np.max(np.abs(fam - ref)) <= DIFF_TOL
+
+
+def test_certified_points_evaluate_without_an_inverse(monkeypatch):
+    inverses = []  # the number of matrices each call of either function inverts
+
+    def counting(original):
+        def counted(m, *args):
+            inverses.append(len(m))
+            return original(m, *args)
+        return counted
+
+    monkeypatch.setattr(np.linalg, "inv", counting(np.linalg.inv))
+    monkeypatch.setattr(linalg, "inverse", counting(linalg.inverse))
+    c = random_colligation(SubspaceSplit(2, 3), R_DEFAULT, seed=70)
+    pts = domains.sample_rG(400, R_DEFAULT, seed=71)
+    evaluate(c, pts)
+    model_families(_model_from(c), pts[:30])
+    assert inverses == []
+    # ||3 U|| = 3 leaves the points with |s1| >= 1/3 to linalg.inverse (which
+    # calls np.linalg.inv on them), and only those.
+    evaluate(replace(c, U=3 * c.U), pts)
+    unsettled = sum(3 * abs(s1) >= 2 * R_DEFAULT - 1e-9 for s1, _ in pts)
+    assert 0 < unsettled < len(pts) and sum(inverses) == 2 * unsettled
+
+
+def test_not_invertible_names_the_index_in_the_whole_stack():
+    # 2 R - s1 U is singular at point 2500 (U = diag(2 / s1[2500], 0)), which
+    # lies in the third block of 1024 points.
+    r = 0.5
+    c = random_colligation(SubspaceSplit(1, 1), r, seed=72)
+    pts = domains.sample_rG(3000, r, seed=73)
+    c = replace(c, U=np.diag([2 / pts[2500][0], 0.0]).astype(complex))
+    with pytest.raises(SingularMatrix) as ref:
+        linalg.inverse(2.0 * c.R.matrix - np.array(pts)[:, 0, None, None] * c.U)
+    assert ref.value.index == 2500
+    named = re.escape(f"at ({pts[2500][0]}, {pts[2500][1]}) in r.G")
+    for fn in (lambda: evaluate(c, pts), lambda: s_UR(pts, c.U, c.R)):
+        with pytest.raises(NotInvertible, match=f"{named}.*matrix 2500 of the stack") as got:
+            fn()
+        assert str(got.value.__cause__) == str(ref.value)
+
+
+def test_singular_pencil_names_its_first_point_and_index():
+    # With U = 1, D = diag(2, 0) and s1 = 0, M - D N = diag(2 - 4 s2, 2 r): exactly
+    # singular at s2 = 1/2, where LU meets a zero pivot.
+    r = 0.9
+    c = random_colligation(SubspaceSplit(1, 1), r, seed=74)
+    c = replace(c, U=np.eye(2, dtype=complex), D=np.diag([2.0, 0.0]).astype(complex))
+    pts = domains.sample_rG(3000, r, seed=75)
+    pts[2500] = pts[2700] = (0.0, 0.5)
+    with pytest.raises(NotInvertible, match=re.escape(
+        "1 - D s_UR singular at (0j, (0.5+0j)) in r.G (matrix 2500 of the stack)"
+    )):
+        evaluate(c, pts)
+    evaluate(c, pts[:2500])  # the points before it solve
 
 
 def test_schur_certify_vacuous_and_valid():
