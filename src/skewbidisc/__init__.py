@@ -21,7 +21,6 @@ from .colligation import (
 from .domains import (
     Point2,
     fq_disc,
-    in_bidisc,
     in_G,
     in_Gr,
     in_rG,
@@ -54,13 +53,11 @@ from .linalg import (
 )
 from .realization import (
     GrModel,
-    RealizedFunction,
     eval_f,
     eval_u,
     evaluate,
     model_residual,
     realization_from_model,
-    scaled_model_residual,
     schur_certify,
 )
 from .synthesis import (
@@ -97,7 +94,6 @@ __all__ = [
     "PolyVectorMap",
     "RankOneParams",
     "ROperator",
-    "RealizedFunction",
     "ScalarPoly",
     "SkewBidiscError",
     "SubspaceSplit",
@@ -117,7 +113,6 @@ __all__ = [
     "gram_gap",
     "in_G",
     "in_Gr",
-    "in_bidisc",
     "in_rG",
     "inverse",
     "is_unitary",
@@ -139,7 +134,6 @@ __all__ = [
     "s_UR",
     "sample_rG",
     "scale_psi",
-    "scaled_model_residual",
     "schur_certify",
     "sigma",
     "spectral_norm",

@@ -126,12 +126,6 @@ def in_rG(s: Sequence[complex], r: float) -> bool:
     return in_G(scale_psi_inv(s, r))
 
 
-def in_bidisc(lam: Sequence[complex]) -> bool:
-    """Componentwise membership in the open unit bidisc."""
-    l1, l2 = _point(lam)
-    return abs(l1) < 1.0 and abs(l2) < 1.0
-
-
 def in_skew_bidisc(lam: Sequence[complex], r: float) -> bool:
     """Membership in rD x D, the natural domain of the skew involution."""
     l1, l2 = _point(lam)

@@ -17,7 +17,6 @@ from typing import Any
 import numpy as np
 
 from .colligation import Colligation, SubspaceSplit
-from .domains import Point2
 from .errors import ConfigError, ParseError
 from .synthesis import BidiscModelSpec, PolyVectorMap, ScalarPoly
 
@@ -187,22 +186,6 @@ def points_to_json(pts) -> list:
     return [[complex_to_json(p[0]), complex_to_json(p[1])] for p in pts]
 
 
-def points_from_json(obj: Any, where: str = "points") -> list[Point2]:
-    if not isinstance(obj, list):
-        raise ParseError(f"{where}: expected an array")
-    out: list[Point2] = []
-    for i, pair in enumerate(obj):
-        if not isinstance(pair, list) or len(pair) != 2:
-            raise ParseError(f"{where}[{i}]: expected a two-element array")
-        out.append(
-            (
-                complex_from_json(pair[0], f"{where}[{i}][0]"),
-                complex_from_json(pair[1], f"{where}[{i}][1]"),
-            )
-        )
-    return out
-
-
 def load_json(path: str | Path, where: str = "input") -> Any:
     try:
         text = Path(path).read_text()
@@ -216,6 +199,6 @@ def load_json(path: str | Path, where: str = "input") -> Any:
 
 def dump_json(obj: Any, path: str | Path) -> None:
     try:
-        Path(path).write_text(json.dumps(obj, indent=2) + "\n")
+        Path(path).write_text(json.dumps(obj) + "\n")
     except OSError as exc:
         raise ConfigError(f"output: cannot write {path}: {exc}") from exc

@@ -4,9 +4,10 @@ Everything operates on numpy ``complex128`` arrays.  The two non-trivial
 operations are :func:`isometry_from_gramians`, which converts a pair of
 vector families with equal Gramians into an explicit partial isometry
 mapping one family onto the other, and :func:`unitary_extension`, which
-completes such a partial isometry to a full unitary matrix.  Every
-pair-grid identity the package certifies is an equality of two Gramians,
-measured by the single check :func:`gram_gap`.
+completes such a partial isometry to a full unitary matrix.  The isometry's
+image frame is a polar factor (the nearest isometry), so it divides by no
+singular value.  Every pair-grid identity the package certifies is an
+equality of two Gramians, measured by the single check :func:`gram_gap`.
 
 Default tolerances: 1e-10 for identities between computed quantities,
 1e-12 for unitarity defects.
@@ -19,9 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionTooSmall, GramianMismatch, ShapeMismatch, SingularMatrix
-
-TOL_IDENTITY = 1e-10
-TOL_UNITARY = 1e-12
 
 # Relative cutoff below which singular values count as zero.
 RCOND = 1e-12
@@ -110,7 +108,7 @@ def spectral_norm(m):
     return float(norms) if a.ndim == 2 else norms
 
 
-def is_unitary(m, tol: float = TOL_UNITARY) -> bool:
+def is_unitary(m, tol: float = 1e-12) -> bool:
     """Check ``M* M = M M* = I`` in spectral norm within ``tol``."""
     a = _as_square(m, "unitarity operand")
     eye = np.eye(a.shape[0])
@@ -154,15 +152,6 @@ class PartialIsometry:
     def dim_image(self) -> int:
         return self.image_basis.shape[0]
 
-    def apply(self, x) -> np.ndarray:
-        """Apply the map to a vector (orthogonal complement goes to 0)."""
-        v = as_vector(x)
-        if v.shape[0] != self.dim_domain:
-            raise ShapeMismatch(
-                f"vector of length {v.shape[0]} applied to isometry on C^{self.dim_domain}"
-            )
-        return self.image_basis @ (self.domain_basis.conj().T @ v)
-
 
 def _family(fam, name: str) -> np.ndarray:
     """A family of vectors, given as the columns of a 2-d array; a list of vectors is refused."""
@@ -190,16 +179,17 @@ def gram_gap(A, B) -> float:
     return float(np.max(np.abs(a_mat.conj().T @ a_mat - b_mat.conj().T @ b_mat)))
 
 
-def isometry_from_gramians(A, B, tol: float = TOL_IDENTITY) -> PartialIsometry:
+def isometry_from_gramians(A, B, tol: float = 1e-10) -> PartialIsometry:
     """Build the partial isometry sending family A onto family B.
 
     Both families must have the same number of vectors and entrywise equal
     Gramians within ``tol``; under that hypothesis a unique isometry
     span(A) -> span(B) with ``V A_i = B_i`` exists.  It is computed from the
     SVD of the stacked A family: singular values below ``tol`` times the
-    largest are treated as zero, which fixes the numerical rank.  The image
-    frame is re-orthonormalized through its polar factor so both returned
-    bases are orthonormal to machine precision.
+    largest are treated as zero, which fixes the numerical rank.  On the kept
+    directions ``A V_k = U_k S_k``, so ``B V_k = V U_k S_k`` and the image frame
+    ``V U_k`` is the polar factor of ``B V_k``, read off one more SVD without
+    dividing by any singular value; both bases are orthonormal to roundoff.
 
     Parameters
     ----------
@@ -226,16 +216,8 @@ def isometry_from_gramians(A, B, tol: float = TOL_IDENTITY) -> PartialIsometry:
     u_a, svals, vh_a = np.linalg.svd(a_mat, full_matrices=False)
     smax = float(svals[0]) if svals.size else 0.0
     rank = int(np.sum(svals > tol * smax)) if smax > 0.0 else 0
-    domain_basis = u_a[:, :rank]
-    if rank == 0:
-        image_basis = np.zeros((b_mat.shape[0], 0), dtype=complex)
-    else:
-        raw = b_mat @ vh_a[:rank].conj().T @ np.diag(1.0 / svals[:rank])
-        # Equal Gramians make `raw` orthonormal up to roundoff; snap to the
-        # nearest orthonormal frame through the polar decomposition.
-        p, _, qh = np.linalg.svd(raw, full_matrices=False)
-        image_basis = p @ qh
-    return PartialIsometry(domain_basis=domain_basis, image_basis=image_basis, rank=rank)
+    p, _, qh = np.linalg.svd(b_mat @ vh_a[:rank].conj().T, full_matrices=False)
+    return PartialIsometry(domain_basis=u_a[:, :rank], image_basis=p @ qh, rank=rank)
 
 
 def _orthonormal_complement(basis: np.ndarray, dim: int) -> np.ndarray:

@@ -26,10 +26,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import linalg
-from .colligation import Check, Colligation, ROperator, ValidationReport, s_T
-from .colligation import _resolvent_factors, validate_colligation
+from .colligation import Check, Colligation, ROperator, ValidationReport, _resolvent_factors
 from .colligation import s_UR  # noqa: F401  bench/test_bench.py rebinds realization.s_UR
-from .domains import Point2, check_r, point_stack, sample_rG
+from .domains import Point2, sample_rG
 from .errors import InsufficientSamples, InvalidParams, NotInvertible, ShapeMismatch
 
 Evaluator = Callable[[Sequence[complex]], np.ndarray]
@@ -175,60 +174,3 @@ def realization_from_model(
         )
     big_l = linalg.unitary_extension(isom, 1 + m.dim)
     return Colligation.from_l_matrix(big_l, m.R.r, m.R.split, m.U)
-
-
-def scaled_model_residual(
-    T: np.ndarray,
-    v_eval: Evaluator,
-    f_eval: ScalarEvaluator,
-    s,
-    t,
-    r: float,
-) -> float:
-    """Defect of the scaled model identity carried over from G by the scaling map.
-
-    Given a contraction T on the model space and X = T / r, measures
-
-        |1 - conj(f(t)) f(s) - <(1 - r^{-2} t_X* s_X) v(s), v(t)>|
-
-    at a pair of points of r.G.  The pairing is stated so that the point in
-    the linear slot of the kernel (s) is the argument of the unconjugated f.
-    """
-    check_r(r)
-    point_stack([s, t], r)
-    x = linalg._as_square(np.asarray(T, dtype=complex) / r, "X")
-    frac_s = s_T(s, x)
-    frac_t = s_T(t, x)
-    eye = np.eye(x.shape[0])
-    v_s = linalg.as_vector(v_eval(s), "v(s)")
-    v_t = linalg.as_vector(v_eval(t), "v(t)")
-    lhs = 1.0 - complex(f_eval(t)).conjugate() * complex(f_eval(s))
-    rhs = np.vdot(v_t, (eye - frac_t.conj().T @ frac_s / (r * r)) @ v_s)
-    return abs(lhs - rhs)
-
-
-@dataclass(eq=False, frozen=True)
-class RealizedFunction:
-    """A colligation frozen together with the guarantee that it validates.
-
-    Construction runs :func:`validate_colligation` at 1e-8 and refuses
-    defective input, so instances can be passed around as certified
-    Schur-class functions and called directly.
-    """
-
-    colligation: Colligation
-
-    def __post_init__(self):
-        report = validate_colligation(self.colligation, tol=1e-8)
-        if not report.passed:
-            worst = max(report.checks, key=lambda ch: ch.residual)
-            raise InvalidParams(
-                f"colligation fails validation: {worst.name} residual {worst.residual:.3e}"
-            )
-
-    @property
-    def r(self) -> float:
-        return self.colligation.r
-
-    def __call__(self, s) -> complex:
-        return eval_f(self.colligation, s)

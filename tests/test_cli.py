@@ -2,12 +2,14 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from skewbidisc import domains, jsonio
 from skewbidisc.cli import run
 from skewbidisc.colligation import Colligation, SubspaceSplit, random_colligation
 from skewbidisc.domains import in_rG
+from skewbidisc.synthesis import BidiscModelSpec, PolyVectorMap, ScalarPoly
 
 
 @pytest.fixture
@@ -81,6 +83,32 @@ def test_synthesize_command_writes_colligation(capsys, spec_file, tmp_path):
     assert code2 == 0, report2
 
 
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("k", [8, 10, 12])
+def test_synthesize_meets_its_thresholds_up_to_dim_24(capsys, tmp_path, k, seed):
+    # The (l1 l2)^k spec: u1 = [(l1 l2)^j], u2 = [l1 (l1 l2)^j] for j < k and
+    # F = (l1 l2)^k.  With x = conj(m1) l1, y = conj(m2) l2 and S = sum (xy)^j,
+    # (1 - x) S + (1 - y) x S = 1 - (xy)^k, the two-disc model identity.  The
+    # sampled families grow worse conditioned with the dimension 2k, and the
+    # extraction must not lose accuracy with them.
+    eye = np.eye(k, dtype=complex)
+    spec = BidiscModelSpec(
+        r=0.5,
+        d1=k,
+        d2=k,
+        u1=PolyVectorMap(dim=k, terms=tuple(((j, j), eye[j]) for j in range(k))),
+        u2=PolyVectorMap(dim=k, terms=tuple(((j + 1, j), eye[j]) for j in range(k))),
+        F=ScalarPoly(terms=(((k, k), 1.0 + 0.0j),)),
+    )
+    path = tmp_path / "spec.json"
+    jsonio.dump_json(jsonio.model_spec_to_json(spec), path)
+    code, report = _run_json(capsys, ["synthesize", "--input", str(path), "--seed", str(seed)])
+    assert code == 0, report
+    residuals = {name: residual for name, residual, _ in report["checks"]}
+    assert residuals["isometry_agreement"] <= 1e-13
+    assert residuals["roundtrip_f"] <= 1e-12
+
+
 def test_synthesize_rejects_asymmetric_spec(capsys, tmp_path, lambda12_spec):
     spec = lambda12_spec()
     obj = jsonio.model_spec_to_json(spec)
@@ -141,7 +169,7 @@ def test_sample_command_roundtrip(capsys, tmp_path):
     )
     assert code == 0
     assert report["sample_count"] == 40
-    pts = jsonio.points_from_json(jsonio.load_json(out_path))
+    pts = [tuple(complex(z["re"], z["im"]) for z in pair) for pair in jsonio.load_json(out_path)]
     assert len(pts) == 40
     assert all(in_rG(p, 0.9) for p in pts)
 

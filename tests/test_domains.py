@@ -87,8 +87,6 @@ def test_membership_basics():
     assert not domains.in_G((2.0, 1.0))  # double root at 1
     assert domains.in_Gr((1.35, 0.405), 0.5)  # from factors 0.9 and 0.9
     assert not domains.in_Gr((1.9, 0.9), 0.5)
-    assert domains.in_bidisc((0.5, -0.5j))
-    assert not domains.in_bidisc((1.0, 0.0))
     assert domains.in_skew_bidisc((0.4, 0.9), 0.5)
     assert not domains.in_skew_bidisc((0.6, 0.5), 0.5)
 

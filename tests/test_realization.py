@@ -24,14 +24,12 @@ from skewbidisc.errors import (
 )
 from skewbidisc.realization import (
     GrModel,
-    RealizedFunction,
     eval_f,
     eval_u,
     evaluate,
     model_families,
     model_residual,
     realization_from_model,
-    scaled_model_residual,
     schur_certify,
 )
 
@@ -441,59 +439,3 @@ def test_realization_requires_points():
     with pytest.raises(InvalidParams):
         realization_from_model(_model_from(c), [])
 
-
-def test_scaled_model_identity_for_transported_fraction():
-    # The one-variable scalar model (T = [omega], v = 1) realizes the plain
-    # fraction on G; composing with the scaling map must satisfy the scaled
-    # identity with X = T / r and the extra 1/r^2 weight.
-    r = 0.5
-    T = np.array([[OMEGA]])
-    v_eval = lambda s: np.array([1.0 + 0.0j])
-    f_eval = lambda s: domains.upsilon(OMEGA, r, s)
-    pts = domains.sample_rG(20, r, seed=15)
-    worst = max(
-        scaled_model_residual(T, v_eval, f_eval, s, t, r)
-        for s in pts[:10]
-        for t in pts[10:]
-    )
-    assert worst < 1e-12
-
-
-def test_scaled_model_identity_at_origin():
-    r = 0.5
-    T = np.array([[OMEGA]])
-    v_eval = lambda s: np.array([1.0 + 0.0j])
-    f_eval = lambda s: domains.upsilon(OMEGA, r, s)
-    res = scaled_model_residual(T, v_eval, f_eval, (0.0, 0.0), (0.0, 0.0), r)
-    assert res < 1e-14
-
-
-def test_scaled_model_outside_domain():
-    r = 0.5
-    T = np.array([[OMEGA]])
-    v_eval = lambda s: np.array([1.0 + 0.0j])
-    f_eval = lambda s: 0.0 + 0.0j
-    with pytest.raises(OutsideDomain):
-        scaled_model_residual(T, v_eval, f_eval, (2 * r, r * r), (0.0, 0.0), r)
-
-
-def test_realized_function_wrapper():
-    c = random_colligation(SubspaceSplit(2, 1), R_DEFAULT, seed=16)
-    fn = RealizedFunction(c)
-    assert fn.r == R_DEFAULT
-    s = domains.sample_rG(1, R_DEFAULT, seed=17)[0]
-    assert fn(s) == eval_f(c, s)
-
-
-def test_realized_function_rejects_defective():
-    bad = Colligation(
-        r=R_DEFAULT,
-        split=SubspaceSplit(1, 1),
-        a=0.3,
-        beta=np.zeros(2, dtype=complex),
-        gamma=np.zeros(2, dtype=complex),
-        D=np.eye(2, dtype=complex) * 1.5,
-        U=np.eye(2, dtype=complex),
-    )
-    with pytest.raises(InvalidParams):
-        RealizedFunction(bad)
