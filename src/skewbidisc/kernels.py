@@ -17,9 +17,14 @@ exactly; and Y factors through the fundamental fraction:
     Y(s, t) = (1/2) (2 - t1 U R^{-1})* (1 - t_{U,R}* s_{U,R}) (2 - s1 U R^{-1}).
 
 Both identities are exercised by :func:`substitution_residual` and
-:func:`factorization_residual`.  Like ``s_UR``, the kernels and the residuals
-take one pair of points, giving an (n, n) matrix or a float, or two (N, 2)
-stacks, giving the (N, n, n) or (N,) stack of values.
+:func:`factorization_residual`, and the Hermitian symmetry Y(s, t)* = Y(t, s)
+by :func:`hermitian_symmetry_residual`; each is the spectral norm of one
+defect, written once in a private core.  Like ``s_UR``, the kernels and the
+residuals take one pair of points, giving an (n, n) matrix or a float, or two
+(N, 2) stacks, giving the (N, n, n) or (N,) stack of values.
+:func:`residual_maxima` gives only the largest value of each residual, the
+same floats, with Y evaluated once per block for the two checks on r.G and
+most spectral norms settled by the screen of ``linalg.largest_spectral_norm``.
 
 Multiplied out, both kernels are combinations of the same eight constant
 matrices I, A, D, B, AD, AB, DB, ADB, where A = R^{-1}U*, D = R^{-2} and
@@ -91,6 +96,15 @@ def _combine(ctx: KernelContext, count: int, *coefs) -> np.ndarray:
     return (c @ ctx.basis).reshape(count, ctx.dim, ctx.dim)
 
 
+def _pair_stacks(ctx: KernelContext, p, q, domain: str):
+    """Two point arguments as paired (N, 2) stacks, every point checked, and whether they were one pair."""
+    p, one = point_stack(p, ctx.r, domain)
+    q, q_one = point_stack(q, ctx.r, domain)
+    if one != q_one or len(p) != len(q):
+        raise ShapeMismatch(f"{len(p)} points do not pair up with {len(q)}")
+    return p, q, one
+
+
 def _on_pairs(domain: str):
     """Lift a function of two checked (N, 2) point stacks to the public form.
 
@@ -102,10 +116,7 @@ def _on_pairs(domain: str):
     def lift(stacked):
         @functools.wraps(stacked)
         def on_pairs(ctx: KernelContext, p, q):
-            p, one = point_stack(p, ctx.r, domain)
-            q, q_one = point_stack(q, ctx.r, domain)
-            if one != q_one or len(p) != len(q):
-                raise ShapeMismatch(f"{len(p)} points do not pair up with {len(q)}")
+            p, q, one = _pair_stacks(ctx, p, q, domain)
             parts = [stacked(ctx, p[b], q[b]) for b in linalg.blocks(len(p), ctx.dim)]
             out = np.concatenate(parts) if parts else stacked(ctx, p, q)
             return out[0] if one else out
@@ -154,26 +165,66 @@ def _pi_t_r(lam: np.ndarray, r: float) -> np.ndarray:
     return np.column_stack([lam[:, 0] + rl2, lam[:, 0] * rl2])
 
 
-@_on_pairs("rD x D")
-def substitution_residual(ctx: KernelContext, lam, mu):
-    """Spectral norm of Z(lam, mu) - Y(s, t), where s = pi(t_r(lam)), t = pi(t_r(mu))."""
-    s, t = _pi_t_r(lam, ctx.r), _pi_t_r(mu, ctx.r)
-    return linalg.spectral_norm(_z(ctx, lam, mu) - _y(ctx, s, t))
+# The defect of each identity on checked stacks; a residual is its spectral norm.
+def _substitution_defect(ctx: KernelContext, lam: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    return _z(ctx, lam, mu) - _y(ctx, _pi_t_r(lam, ctx.r), _pi_t_r(mu, ctx.r))
 
 
-@_on_pairs("r.G")
-def factorization_residual(ctx: KernelContext, s, t):
-    """Defect of the factorization of Y through the fundamental fraction."""
+def _factorization_defect(ctx: KernelContext, s, t, y: np.ndarray) -> np.ndarray:
+    """Y(s, t), given as ``y``, minus (1/2) a_t* (1 - F_t* F_s) a_s, with a = 2 - s1 U R^{-1}, F = s_UR."""
     eye = np.eye(ctx.dim)
     urinv = ctx.U @ ctx.R.inv_matrix
     a_s = 2.0 * eye - s[:, 0, None, None] * urinv
     a_t = 2.0 * eye - t[:, 0, None, None] * urinv
     frac_s, frac_t = s_UR(s, ctx.U, ctx.R), s_UR(t, ctx.U, ctx.R)
     rhs = 0.5 * a_t.conj().swapaxes(1, 2) @ (eye - frac_t.conj().swapaxes(1, 2) @ frac_s) @ a_s
-    return linalg.spectral_norm(_y(ctx, s, t) - rhs)
+    return y - rhs
+
+
+def _hermitian_defect(ctx: KernelContext, s, t, y: np.ndarray) -> np.ndarray:
+    """Y(s, t)*, with Y(s, t) given as ``y``, minus Y(t, s)."""
+    return y.conj().swapaxes(1, 2) - _y(ctx, t, s)
+
+
+@_on_pairs("rD x D")
+def substitution_residual(ctx: KernelContext, lam, mu):
+    """Spectral norm of Z(lam, mu) - Y(s, t), where s = pi(t_r(lam)), t = pi(t_r(mu))."""
+    return linalg.spectral_norm(_substitution_defect(ctx, lam, mu))
+
+
+@_on_pairs("r.G")
+def factorization_residual(ctx: KernelContext, s, t):
+    """Defect of the factorization of Y through the fundamental fraction."""
+    return linalg.spectral_norm(_factorization_defect(ctx, s, t, _y(ctx, s, t)))
 
 
 @_on_pairs("r.G")
 def hermitian_symmetry_residual(ctx: KernelContext, s, t):
     """Defect of Y(s, t)* = Y(t, s), a consequence of the factorization."""
-    return linalg.spectral_norm(_y(ctx, s, t).conj().swapaxes(1, 2) - _y(ctx, t, s))
+    return linalg.spectral_norm(_hermitian_defect(ctx, s, t, _y(ctx, s, t)))
+
+
+def residual_maxima(ctx: KernelContext, s, t, lam, mu) -> dict[str, float]:
+    """The largest factorization and Hermitian-symmetry residual over the pairs (s, t) of r.G
+    and the largest substitution residual over the pairs (lam, mu) of rD x D, 0.0 for none.
+
+    Each equals, bit for bit, the max of the public residual's values on the same pairs.
+    Every stack is checked once, Y(s, t) is evaluated once per block for both checks that
+    use it, and :func:`linalg.largest_spectral_norm` takes each block's defects with the
+    running maximum as its floor, so only the few defects that can still be the maximum
+    get an eigenvalue computed.
+    """
+    s, t, _ = _pair_stacks(ctx, s, t, "r.G")
+    lam, mu, _ = _pair_stacks(ctx, lam, mu, "rD x D")
+    worst = dict.fromkeys(("factorization", "substitution", "hermitian_symmetry"), 0.0)
+
+    def raise_to(name, defects):
+        worst[name] = linalg.largest_spectral_norm(defects, worst[name])
+
+    for b in linalg.blocks(len(s), ctx.dim):
+        y = _y(ctx, s[b], t[b])
+        raise_to("factorization", _factorization_defect(ctx, s[b], t[b], y))
+        raise_to("hermitian_symmetry", _hermitian_defect(ctx, s[b], t[b], y))
+    for b in linalg.blocks(len(lam), ctx.dim):
+        raise_to("substitution", _substitution_defect(ctx, lam[b], mu[b]))
+    return worst

@@ -26,3 +26,17 @@ def lambda12_spec():
         )
 
     return make
+
+
+@pytest.fixture
+def eigvalsh_loads(monkeypatch):
+    """Matrices per np.linalg.eigvalsh call, one entry a call, recorded from now on."""
+    loads = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(a, *args, **kwargs):
+        loads.append(int(np.prod(np.shape(a)[:-2])))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    return loads

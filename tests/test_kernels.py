@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from skewbidisc.kernels import (
     kernel_Y,
     kernel_Z,
     _pi_t_r,
+    residual_maxima,
     substitution_residual,
 )
 from skewbidisc.linalg import haar_unitary
@@ -339,3 +342,91 @@ def test_stacked_kernels_against_50_digit_oracle(r):
         ) * (eye - rr * rr * m2 * l2 * rinv2) * (eye - l1 * u * rinv)
         assert gap(ys[k], y) <= 1e-12
         assert gap(zs[k], z) <= 1e-12
+
+
+PUBLIC_RESIDUALS = {
+    "factorization": factorization_residual,
+    "substitution": substitution_residual,
+    "hermitian_symmetry": hermitian_symmetry_residual,
+}
+
+
+def _kernel_check_samples(dims, r, samples, seed):
+    """The unitaries and samples of `kernel-check`, as (ctx, s, t, lam, mu) per unitary."""
+    per = max(samples // 3, 1) if samples else 0
+    r_op = build_R(SubspaceSplit(*dims), r)
+    return [
+        (
+            KernelContext(haar_unitary(sum(dims), seed + i), r_op),
+            domains.sample_rG(per, r, seed + 100 + i),
+            domains.sample_rG(per, r, seed + 200 + i),
+            domains.sample_skew_bidisc(per, r, seed + 300 + i),
+            domains.sample_skew_bidisc(per, r, seed + 400 + i),
+        )
+        for i in range(3)
+    ]
+
+
+@pytest.mark.parametrize("dims", [(1, 1), (2, 3), (8, 8), (5, 11)])
+@pytest.mark.parametrize("r", [0.01, 0.5, 0.999])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_kernel_check_reports_the_largest_public_residual(dims, r, seed, capsys):
+    argv = ["kernel-check", "--dims", "%d,%d" % dims, "--r", str(r), "--samples", "150", "--seed", str(seed)]
+    assert cli.run(argv) == 0
+    report = json.loads(capsys.readouterr().out)
+    worst = dict.fromkeys(PUBLIC_RESIDUALS, 0.0)
+    for ctx, s, t, lam, mu in _kernel_check_samples(dims, r, 150, seed):
+        for name, residual in PUBLIC_RESIDUALS.items():
+            p, q = (lam, mu) if name == "substitution" else (s, t)
+            worst[name] = max(worst[name], residual(ctx, p, q).max())
+    # Bit for bit: the JSON floats round-trip exactly.
+    assert [(name, value) for name, value, _ in report["checks"]] == list(worst.items())
+
+
+@pytest.mark.parametrize("dims", [(1, 1), (2, 3), (8, 8)])
+@pytest.mark.parametrize("r", [1e-3, 0.5, 0.999])
+def test_residual_maxima_match_the_public_residuals(dims, r, monkeypatch):
+    ctx = _context(dims, r, scale=1.05)  # residuals of order 0.1, not roundoff
+    s, t = domains.sample_rG(23, r, seed=76), domains.sample_rG(23, r, seed=77)
+    lam = domains.sample_skew_bidisc(23, r, seed=78)
+    mu = domains.sample_skew_bidisc(23, r, seed=79)
+    monkeypatch.setattr(linalg, "BLOCK_ENTRIES", 5 * ctx.dim**2)  # blocks of 5 pairs
+    expected = {
+        "factorization": factorization_residual(ctx, s, t).max(),
+        "substitution": substitution_residual(ctx, lam, mu).max(),
+        "hermitian_symmetry": hermitian_symmetry_residual(ctx, s, t).max(),
+    }
+    assert residual_maxima(ctx, s, t, lam, mu) == expected
+    assert residual_maxima(ctx, [], [], [], []) == dict.fromkeys(expected, 0.0)
+    with pytest.raises(ShapeMismatch):
+        residual_maxima(ctx, s, t[:3], lam, mu)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_kernel_check_computes_few_eigenvalues(seed, eigvalsh_loads, capsys):
+    assert cli.run(["kernel-check", "--dims", "8,8", "--samples", "300", "--seed", str(seed)]) == 0
+    capsys.readouterr()
+    # 600 factorization and Hermitian defects, 300 substitution defects and 6 unitarity
+    # defects: every one of the 906 had its eigenvalues computed before the screen.
+    assert 6 < sum(eigvalsh_loads) <= 150
+
+
+def test_kernel_check_checks_each_stack_once(monkeypatch, capsys):
+    from skewbidisc import kernels
+
+    seen = []
+    point_stack = kernels.point_stack
+
+    def recording(p, r, domain="r.G"):
+        seen.append((domain, np.asarray(p, dtype=complex).tobytes()))
+        return point_stack(p, r, domain)
+
+    monkeypatch.setattr(kernels, "point_stack", recording)
+    assert cli.run(["kernel-check", "--dims", "2,3", "--samples", "60", "--seed", "3"]) == 0
+    capsys.readouterr()
+    expected = [
+        (domain, np.asarray(pts, dtype=complex).tobytes())
+        for _, *stacks in _kernel_check_samples((2, 3), 0.5, 60, 3)
+        for domain, pts in zip(["r.G", "r.G", "rD x D", "rD x D"], stacks)
+    ]
+    assert seen == expected and len(set(seen)) == 12

@@ -126,6 +126,73 @@ def test_spectral_norm_of_empty_matrices_is_zero(shape):
         assert got.shape == shape[:-2] and not got.any()
 
 
+def _largest_by_spectral_norm(stack, floor=0.0):
+    return max(floor, linalg.spectral_norm(stack).max()) if len(stack) else floor
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_largest_spectral_norm_is_the_largest_spectral_norm(seed):
+    rng = np.random.Generator(np.random.Philox(seed))
+    count = int(rng.integers(1, 41))
+    n = int(rng.integers(1, 17))
+    rows, cols = [(n, n), (n, max(1, n // 2)), (max(1, n // 2), n)][seed % 3]
+    stack = rng.standard_normal((count, rows, cols)) + 1j * rng.standard_normal((count, rows, cols))
+    stack *= rng.random((count, 1, 1)) ** 4  # norms that spread over decades
+    ref = _largest_by_spectral_norm(stack)
+    assert linalg.largest_spectral_norm(stack) == ref
+    for floor in (0.5 * ref, ref, np.nextafter(ref, 0.0), ref * (1.0 - 1e-9)):
+        assert linalg.largest_spectral_norm(stack, floor) == _largest_by_spectral_norm(stack, floor)
+
+
+def test_largest_spectral_norm_when_every_bound_ties(eigvalsh_loads):
+    # Equally scaled unitaries have equal norms and equal bounds, so each is a candidate.
+    stack = np.stack([2.5 * linalg.haar_unitary(6, seed) for seed in range(12)])
+    ref = _largest_by_spectral_norm(stack)
+    eigvalsh_loads.clear()
+    assert linalg.largest_spectral_norm(stack) == ref
+    assert eigvalsh_loads == [1, 11]  # the largest bound first, then every other matrix
+    # Rank one makes the bound the norm itself, up to roundoff.
+    rng = np.random.Generator(np.random.Philox(5))
+    vecs = rng.standard_normal((2, 9, 7)) + 1j * rng.standard_normal((2, 9, 7))
+    rank_one = vecs[0][:, :, None] * vecs[1][:, None, :].conj()
+    assert linalg.largest_spectral_norm(rank_one) == _largest_by_spectral_norm(rank_one)
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1.0, 1e300])
+def test_largest_spectral_norm_of_zero_and_extreme_matrices(scale):
+    rng = np.random.Generator(np.random.Philox(6))
+    stack = scale * (rng.standard_normal((7, 5, 5)) + 1j * rng.standard_normal((7, 5, 5)))
+    stack[[0, 3]] = 0.0
+    assert linalg.largest_spectral_norm(stack) == _largest_by_spectral_norm(stack)
+    assert linalg.largest_spectral_norm(np.zeros((4, 3, 3))) == 0.0
+    assert linalg.largest_spectral_norm(np.zeros((4, 3, 3)), 2.0) == 2.0
+
+
+def test_largest_spectral_norm_under_a_high_floor_computes_no_eigenvalue(eigvalsh_loads):
+    rng = np.random.Generator(np.random.Philox(7))
+    stack = rng.standard_normal((20, 8, 8)) + 1j * rng.standard_normal((20, 8, 8))
+    floor = 10.0 * linalg.spectral_norm(stack).max()
+    eigvalsh_loads.clear()
+    assert linalg.largest_spectral_norm(stack, floor) == floor
+    assert eigvalsh_loads == []
+
+
+@pytest.mark.parametrize("shape", [(0, 3, 3), (0, 0, 0), (2, 0, 3)])
+def test_largest_spectral_norm_of_empty_stacks(shape, eigvalsh_loads):
+    assert linalg.largest_spectral_norm(np.zeros(shape), 0.25) == 0.25
+    assert linalg.largest_spectral_norm(np.zeros(shape)) == 0.0
+    assert eigvalsh_loads == []
+
+
+def test_largest_spectral_norm_refuses_bad_input():
+    stack = np.ones((3, 2, 2), dtype=complex)
+    stack[1, 0, 1] = np.nan
+    with pytest.raises(ShapeMismatch):
+        linalg.largest_spectral_norm(stack)
+    with pytest.raises(ShapeMismatch):
+        linalg.largest_spectral_norm(np.eye(2))
+
+
 def test_is_unitary_decides_as_the_svd_norm_does():
     def by_svd(m, tol):
         eye = np.eye(m.shape[0])
