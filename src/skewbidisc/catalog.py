@@ -143,7 +143,7 @@ def catalog_campaign(p: RankOneParams, n: int, seed: int, tol: float = 1e-10) ->
     and that |det| of the closed form stays at or above 1e-8.
     """
     colligation, _ = rank_one_build(p)
-    pts = np.array(sample_rG(n, p.r, seed), dtype=complex).reshape(-1, 2)
+    pts = sample_rG(n, p.r, seed)
     f = evaluate(colligation, pts)[1][0]
     # The sampled points are in r.G, and evaluate has checked them again.
     closed, den = _closed_form_and_denominator(p, pts)

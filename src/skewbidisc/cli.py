@@ -182,7 +182,7 @@ def cmd_catalog(cfg: RunConfig) -> Report:
     checks = list(catalog_campaign(params, cfg.samples, cfg.seed, tol=cfg.tol).checks)
     if cfg.name == "upsilon":
         _, closed_form = rank_one_build(params)
-        pts = np.array(sample_rG(min(cfg.samples, 200), cfg.r, cfg.seed + 1)).reshape(-1, 2)
+        pts = sample_rG(min(cfg.samples, 200), cfg.r, cfg.seed + 1)
         gap = np.abs(closed_form(pts) - upsilon(params.omega1, cfg.r, pts))
         checks.append(Check("upsilon_identity", float(np.max(gap, initial=0.0)), 1e-12))
     return _finish(cfg, checks, cfg.samples)
@@ -190,7 +190,7 @@ def cmd_catalog(cfg: RunConfig) -> Report:
 
 def cmd_sample(cfg: RunConfig) -> Report:
     pts = sample_rG(cfg.samples, cfg.r, cfg.seed)
-    bad = outside_points(np.array(pts, dtype=complex).reshape(-1, 2), cfg.r)
+    bad = outside_points(pts, cfg.r)
     checks = [Check("membership", float(len(bad)), 0.0)]
     if cfg.output_path is not None:
         jsonio.dump_json(jsonio.points_to_json(pts), cfg.output_path)

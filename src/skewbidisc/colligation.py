@@ -169,15 +169,43 @@ def s_UR(s, U: np.ndarray, R: ROperator) -> np.ndarray:
     NotInvertible if a resolvent factor fails, which for points of r.G
     indicates the input was corrupt rather than a true singularity.
     """
-    stack, one, u, den = _resolvent_factors(s, U, R)
+    stack, one, u = _checked(s, U, R)
+    fracs = _fractions(stack, u, R, _u_norm_bound(u))
+    return fracs[0] if one else fracs
+
+
+def _checked(s, U, R: ROperator):
+    """The (N, 2) stack of ``s`` with every point checked, whether it was one point, and U."""
+    stack, one = point_stack(s, R.r)
+    u = linalg._as_square(U, "U")
+    if u.shape != R.matrix.shape:
+        raise ShapeMismatch(f"U has shape {u.shape}, R has shape {R.matrix.shape}")
+    return stack, one, u
+
+
+def _u_norm_bound(u: np.ndarray) -> float:
+    """sqrt of the largest row sum of |U^H U|, a bound on ||U||_2 (rho(A) <= ||A||_inf)."""
+    return float(np.sqrt(np.max(np.sum(np.abs(u.conj().T @ u), axis=1))))
+
+
+def _fractions(stack: np.ndarray, u: np.ndarray, R: ROperator, u_norm: float) -> np.ndarray:
+    """The (N, n, n) fractions s_{U,R} at a checked stack, given ``_u_norm_bound(u)``."""
     s1, s2 = stack[:, 0, None, None], stack[:, 1, None, None]
     num = 2.0 * s2 * (R.inv_matrix @ u) - s1 * np.eye(u.shape[0])
-    fracs = num @ np.linalg.inv(den)
-    return fracs[0] if one else fracs
+    return num @ np.linalg.inv(_factors(stack, u, R, u_norm))
 
 
 def _resolvent_factors(s, U, R: ROperator, first: int = 0):
     """The (N, 2) point stack, whether ``s`` was one point, U, and the factors 2 R - s1 U.
+
+    The points and U are checked, then :func:`_factors` forms and tests the factors.
+    """
+    stack, one, u = _checked(s, U, R)
+    return stack, one, u, _factors(stack, u, R, _u_norm_bound(u), first)
+
+
+def _factors(stack: np.ndarray, u: np.ndarray, R: ROperator, u_norm: float, first: int = 0):
+    """The factors 2 R - s1 U at a checked stack, given ``_u_norm_bound(u)``.
 
     Every factor passes :func:`linalg.inverse`'s singular-value test.  As R = diag(1, r),
     sigma_min >= 2 r - |s1| ||U|| and sigma_max <= 2 + |s1| ||U|| (Weyl); where the first
@@ -186,13 +214,8 @@ def _resolvent_factors(s, U, R: ROperator, first: int = 0):
     NotInvertible names the first failing point and its index, counted from ``first``
     for a block of a larger stack, as if every factor had been tested.
     """
-    stack, one = point_stack(s, R.r)
-    u = linalg._as_square(U, "U")
-    if u.shape != R.matrix.shape:
-        raise ShapeMismatch(f"U has shape {u.shape}, R has shape {R.matrix.shape}")
     den = 2.0 * R.matrix - stack[:, 0, None, None] * u
-    # sqrt of the largest row sum of |U^H U| bounds ||U||_2 (rho(A) <= ||A||_inf).
-    reach = np.abs(stack[:, 0]) * np.sqrt(np.max(np.sum(np.abs(u.conj().T @ u), axis=1)))
+    reach = np.abs(stack[:, 0]) * u_norm
     unsettled = np.flatnonzero(2.0 * R.r - reach < 2.0 * linalg.RCOND * (2.0 + reach))
     if unsettled.size:
         try:
@@ -200,7 +223,7 @@ def _resolvent_factors(s, U, R: ROperator, first: int = 0):
         except SingularMatrix as exc:
             z1, z2 = stack[exc.index - first].tolist()
             raise NotInvertible(f"resolvent factor singular at ({z1}, {z2}) in r.G: {exc}") from exc
-    return stack, one, u, den
+    return den
 
 
 def s_T(q, T: np.ndarray) -> np.ndarray:

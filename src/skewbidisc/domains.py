@@ -11,6 +11,9 @@ where the symmetrization map is pi(l1, l2) = (l1 + l2, l1 l2).
 
 :func:`sigma`, :func:`mobius_phi` and :func:`upsilon` take one point or an
 ``(N, 2)`` stack of points, and return one value or the stacked values.
+:func:`sample_rG` returns its seeded points as an ``(N, 2)`` complex array,
+ready for any stacked function; :func:`sample_skew_bidisc` still returns a
+list of ``(z1, z2)`` tuples, since callers extend it with ``+``.
 """
 
 from __future__ import annotations
@@ -36,6 +39,9 @@ POLE_EPS = 1e-14
 
 # Membership gap above which the array screen of point_stack settles a point of r.G.
 RG_SCREEN_GAP = 1e-6
+
+# Root moduli closer than this (relative) are ordered by the scalar quad_roots.
+ROOT_TIE = 1e-12
 
 
 def _point(p: Sequence[complex]) -> Point2:
@@ -103,6 +109,36 @@ def quad_roots(s: Sequence[complex]) -> tuple[complex, complex]:
     z2 = s2 / z1 if z1 != 0 else s1 - z1
     a, b = sorted((z1, z2), key=lambda z: (-abs(z), cmath.phase(z)))
     return a, b
+
+
+def _quad_roots_stack(stack: np.ndarray) -> np.ndarray:
+    """:func:`quad_roots` at each point of an (N, 2) stack, as the rows of an (N, 2) array.
+
+    The same stable branch, the same rule for z1 = 0 and the same order.  The
+    discriminant is formed in real arithmetic in the order Python's complex
+    operations take, so a near-double root gets the same square root; the rest
+    is numpy's complex arithmetic, which can differ from Python's in the last
+    bits.  Where the two moduli are within ``ROOT_TIE`` of each other, such a
+    difference could swap the roots, and :func:`quad_roots` orders them itself.
+    """
+    s1, s2 = stack[:, 0], stack[:, 1]
+    x, y = s1.real, s1.imag
+    disc = np.empty(len(stack), dtype=complex)
+    disc.real = (x * x - y * y) - (4.0 * s2.real - 0.0 * s2.imag)
+    disc.imag = (x * y + y * x) - (4.0 * s2.imag + 0.0 * s2.real)
+    sq = np.sqrt(disc)
+    plus, minus = s1 + sq, s1 - sq
+    # hypot is the modulus Python's abs takes; np.abs can differ in the last bit.
+    big = np.where(np.hypot(plus.real, plus.imag) >= np.hypot(minus.real, minus.imag), plus, minus)
+    z1 = big / 2.0
+    nonzero = z1 != 0
+    z2 = np.where(nonzero, s2 / np.where(nonzero, z1, 1.0), s1 - z1)
+    m1, m2 = np.hypot(z1.real, z1.imag), np.hypot(z2.real, z2.imag)
+    swap = m2 > m1
+    roots = np.column_stack([np.where(swap, z2, z1), np.where(swap, z1, z2)])
+    for k in np.flatnonzero(np.abs(m1 - m2) <= ROOT_TIE * np.maximum(m1, m2)).tolist():
+        roots[k] = quad_roots(stack[k].tolist())
+    return roots
 
 
 def in_G(s: Sequence[complex]) -> bool:
@@ -218,27 +254,28 @@ def sample_disc(n: int, seed: int) -> list[complex]:
     return out
 
 
-def sample_rG(n: int, r: float, seed: int) -> list[Point2]:
-    """n seeded pseudo-random points of r.G.
+def sample_rG(n: int, r: float, seed: int) -> np.ndarray:
+    """n seeded pseudo-random points of r.G, as a C-contiguous (n, 2) complex array.
 
     Draws pairs from the open unit disc by rejection from the bounding
     square and pushes them through the symmetrization and the scaling, so
     every output lies strictly inside r.G.  Identical (n, r, seed) always
-    produce the identical list.
+    give the identical array.
     """
     check_r(r)
     ax, ay, bx, by = _sample_disc_pairs(n, seed)
     # (r (a + b), r^2 a b) in real arithmetic, in the order Python's complex
     # operations take: numpy's complex multiply can differ in the last bit.
     cx, cy = r * r * ax, r * r * ay
-    return _point_list(r * (ax + bx), r * (ay + by), cx * bx - cy * by, cx * by + cy * bx)
+    return _points(r * (ax + bx), r * (ay + by), cx * bx - cy * by, cx * by + cy * bx)
 
 
 def sample_skew_bidisc(n: int, r: float, seed: int) -> list[Point2]:
-    """n seeded pseudo-random points of rD x D."""
+    """n seeded pseudo-random points of rD x D, as a list of (l1, l2) tuples."""
     check_r(r)
     ax, ay, bx, by = _sample_disc_pairs(n, seed)
-    return _point_list(r * ax, r * ay, bx, by)
+    z = _points(r * ax, r * ay, bx, by)
+    return list(zip(z[:, 0].tolist(), z[:, 1].tolist()))
 
 
 def _sample_disc_pairs(n: int, seed: int) -> np.ndarray:
@@ -253,17 +290,18 @@ def _sample_disc_pairs(n: int, seed: int) -> np.ndarray:
     need = n
     while need > 0:
         batch = rng.uniform(-1.0, 1.0, size=(max(4 * need, 32), 2))
-        discs = batch[batch[:, 0] * batch[:, 0] + batch[:, 1] * batch[:, 1] < 1.0]
+        inside = batch[:, 0] * batch[:, 0] + batch[:, 1] * batch[:, 1] < 1.0
+        discs = np.compress(inside, batch, axis=0)
         take = min(len(discs) // 2, need)
         pairs.append(discs[: 2 * take].reshape(take, 4))
         need -= take
     return np.concatenate(pairs).T
 
 
-def _point_list(x1, y1, x2, y2) -> list[Point2]:
-    """The points (x1 + i y1, x2 + i y2) as tuples of Python complex numbers."""
-    z = np.stack([x1, y1, x2, y2], axis=-1).view(complex)
-    return list(zip(z[:, 0].tolist(), z[:, 1].tolist()))
+def _points(x1, y1, x2, y2) -> np.ndarray:
+    """The points (x1 + i y1, x2 + i y2) as the rows of an (N, 2) complex array."""
+    return np.stack([x1, y1, x2, y2], axis=-1).view(complex)
+
 
 
 def mobius_phi(z: complex, s):

@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .colligation import ROperator, s_UR
+from .colligation import ROperator, _fractions, _u_norm_bound
 from .domains import point_stack
 from .errors import InvalidParams, ShapeMismatch
 
@@ -77,10 +77,22 @@ class KernelContext:
         return self.U.shape[0]
 
     @functools.cached_property
+    def urinv(self) -> np.ndarray:
+        """U R^{-1}, read-only."""
+        urinv = self.U @ self.R.inv_matrix
+        urinv.flags.writeable = False
+        return urinv
+
+    @functools.cached_property
+    def u_norm(self) -> float:
+        """The bound on ||U||_2 that the resolvent factors of s_UR are certified with."""
+        return _u_norm_bound(self.U)
+
+    @functools.cached_property
     def basis(self) -> np.ndarray:
         """The rows I, A, D, B, AD, AB, DB, ADB of the module docstring, flattened to (8, n^2)."""
         rinv = self.R.inv_matrix
-        a, d, b = rinv @ self.U.conj().T, rinv @ rinv, self.U @ rinv
+        a, d, b = rinv @ self.U.conj().T, rinv @ rinv, self.urinv
         ad = a @ d
         mats = [np.eye(self.dim), a, d, b, ad, a @ b, d @ b, ad @ b]
         basis = np.stack(mats).reshape(8, -1)
@@ -171,12 +183,15 @@ def _substitution_defect(ctx: KernelContext, lam: np.ndarray, mu: np.ndarray) ->
 
 
 def _factorization_defect(ctx: KernelContext, s, t, y: np.ndarray) -> np.ndarray:
-    """Y(s, t), given as ``y``, minus (1/2) a_t* (1 - F_t* F_s) a_s, with a = 2 - s1 U R^{-1}, F = s_UR."""
+    """Y(s, t), given as ``y``, minus (1/2) a_t* (1 - F_t* F_s) a_s, with a = 2 - s1 U R^{-1}, F = s_UR.
+
+    F is the fraction of ``s_UR`` from its checked-stack core, with U checked by the context.
+    """
     eye = np.eye(ctx.dim)
-    urinv = ctx.U @ ctx.R.inv_matrix
-    a_s = 2.0 * eye - s[:, 0, None, None] * urinv
-    a_t = 2.0 * eye - t[:, 0, None, None] * urinv
-    frac_s, frac_t = s_UR(s, ctx.U, ctx.R), s_UR(t, ctx.U, ctx.R)
+    a_s = 2.0 * eye - s[:, 0, None, None] * ctx.urinv
+    a_t = 2.0 * eye - t[:, 0, None, None] * ctx.urinv
+    frac_s = _fractions(s, ctx.U, ctx.R, ctx.u_norm)
+    frac_t = _fractions(t, ctx.U, ctx.R, ctx.u_norm)
     rhs = 0.5 * a_t.conj().swapaxes(1, 2) @ (eye - frac_t.conj().swapaxes(1, 2) @ frac_s) @ a_s
     return y - rhs
 

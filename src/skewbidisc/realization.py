@@ -28,7 +28,7 @@ import numpy as np
 from . import linalg
 from .colligation import Check, Colligation, ROperator, ValidationReport, _resolvent_factors
 from .colligation import s_UR  # noqa: F401  bench/test_bench.py rebinds realization.s_UR
-from .domains import Point2, sample_rG
+from .domains import sample_rG
 from .errors import InsufficientSamples, InvalidParams, NotInvertible, ShapeMismatch
 
 Evaluator = Callable[[Sequence[complex]], np.ndarray]
@@ -145,11 +145,10 @@ def model_families(m: GrModel, pts) -> tuple[np.ndarray, np.ndarray]:
     return np.vstack([np.ones((1, n)), su.T]), np.vstack([f[None, :], u.T])
 
 
-def realization_from_model(
-    m: GrModel, sample_pts: Sequence[Point2], tol: float = 1e-10
-) -> Colligation:
+def realization_from_model(m: GrModel, sample_pts, tol: float = 1e-10) -> Colligation:
     """Extract a colligation whose realized function matches the model.
 
+    ``sample_pts`` is an (N, 2) stack of points of r.G, or a list of points.
     The families of :func:`model_families` have equal Gramians exactly when
     the model identity holds on all sample pairs; ``isometry_from_gramians``
     verifies that (GramianMismatch carries the worst pair residual on
@@ -164,11 +163,11 @@ def realization_from_model(
     4 (dim + 1) suffices) saturates the span, and no enlargement of the
     state space is ever needed at finite dimension.
     """
-    pts = list(sample_pts)
-    if not pts:
+    if not len(sample_pts):
         raise InvalidParams("at least one sample point is required")
-    isom = linalg.isometry_from_gramians(*model_families(m, pts), tol)
-    if isom.rank == len(pts) < 1 + m.dim:
+    a_fam, b_fam = model_families(m, sample_pts)
+    isom = linalg.isometry_from_gramians(a_fam, b_fam, tol)
+    if isom.rank == a_fam.shape[1] < 1 + m.dim:
         raise InsufficientSamples(
             f"sampled span rank {isom.rank} equals the sample count; add points"
         )

@@ -35,9 +35,9 @@ from .domains import (
     Point2,
     _as_stack,
     _check_size,
+    _quad_roots_stack,
     check_r,
     point_stack,
-    quad_roots,
     sample_skew_bidisc,
     sigma,
 )
@@ -282,8 +282,8 @@ def eval_w(m: SynthesizedModel, lam) -> np.ndarray:
 
 def _preimages(s: np.ndarray, r: float) -> np.ndarray:
     """The root preimage (rho1, rho2 / r) in rD x D of each point of a checked r.G stack."""
-    lam = [(rho1, rho2 / r) for rho1, rho2 in map(quad_roots, s.tolist())]
-    return np.array(lam, dtype=complex).reshape(-1, 2)
+    roots = _quad_roots_stack(s)
+    return np.column_stack([roots[:, 0], roots[:, 1] / r])
 
 
 def eval_x(m: SynthesizedModel, s) -> np.ndarray:

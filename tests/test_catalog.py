@@ -189,7 +189,7 @@ def test_closed_form_refuses_points_outside_rG():
         eval_f(colligation, (0.9, 0.3))
     with pytest.raises(OutsideDomain, match=r"\(\(0\.9\+0j\), \(0\.3\+0j\)\)"):
         closed((0.9, 0.3))
-    stack = np.array(domains.sample_rG(4, 0.5, seed=23) + [(0.9, 0.3)], dtype=complex)
+    stack = np.vstack([domains.sample_rG(4, 0.5, seed=23), [(0.9, 0.3)]])
     with pytest.raises(OutsideDomain, match=r"\(\(0\.9\+0j\), \(0\.3\+0j\)\)"):
         closed(stack)
 

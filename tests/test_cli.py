@@ -178,7 +178,7 @@ def test_sample_counts_every_point_outside(capsys, monkeypatch):
     from skewbidisc import cli
 
     inside = domains.sample_rG(5, 0.5, seed=0)
-    pts = inside[:2] + [(0.99, 0.0)] + inside[2:] + [(0.0, 0.3)]  # two points outside r.G
+    pts = np.vstack([inside[:2], [(0.99, 0.0)], inside[2:], [(0.0, 0.3)]])  # two outside r.G
     monkeypatch.setattr(cli, "sample_rG", lambda n, r, seed: pts)
     code, report = _run_json(capsys, ["sample", "--samples", "7"])
     assert code == 1

@@ -203,12 +203,13 @@ def test_svd_fallback_names_the_same_point_as_the_all_svd_path():
     # |s1| <= 2/3, so the double-root points (s1, s1^2 / 4) lie in r.G.
     mu = np.linalg.eigvals(np.linalg.solve(2.0 * R.matrix, U))
     singular = [(complex(1 / m), complex(1 / m**2 / 4)) for m in mu[:2]]
-    stack = pts[:20] + singular[:1] + pts[20:40] + singular[1:] + pts[40:]
+    stack = np.vstack([pts[:20], singular[:1], pts[20:40], singular[1:], pts[40:]])
     with pytest.raises(SingularMatrix) as ref:
         _s_UR_all_svd(stack, U, R)
     k = ref.value.index
     assert k == 20
-    named = re.escape(f"at ({stack[k][0]}, {stack[k][1]}) in r.G")
+    z1, z2 = stack[k].tolist()
+    named = re.escape(f"at ({z1}, {z2}) in r.G")
     with pytest.raises(NotInvertible, match=f"{named}.*matrix {k} of the stack") as got:
         s_UR(stack, U, R)
     assert str(got.value.__cause__) == str(ref.value)

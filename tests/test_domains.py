@@ -82,6 +82,40 @@ def test_quad_roots_ordering():
     assert cmath.phase(a) <= cmath.phase(b)
 
 
+def _roots_reference(stack):
+    return np.array([domains.quad_roots(p) for p in stack.tolist()], dtype=complex).reshape(-1, 2)
+
+
+def _assert_roots_match(stack):
+    roots = domains._quad_roots_stack(stack)
+    assert roots.shape == (len(stack), 2)
+    assert np.max(np.abs(roots - _roots_reference(stack)), initial=0.0) <= 1e-13
+
+
+@pytest.mark.parametrize("r", [1e-3, 0.5, 0.999])
+def test_stacked_roots_match_quad_roots_on_samples(r):
+    for n in (0, 1, 2000):
+        _assert_roots_match(domains.sample_rG(n, r, seed=26))
+
+
+@pytest.mark.parametrize("rho", [0.5, 1 - 1e-6, 1 - 1e-9])
+@pytest.mark.parametrize("r", [1e-3, 0.5, 0.999])
+def test_stacked_roots_match_quad_roots_at_close_and_equal_moduli(r, rho):
+    rng = np.random.Generator(np.random.Philox(27))
+    z1, z2 = rho * r * np.exp(2j * np.pi * rng.random((2, 500)))
+    near = z1 * (1.0 + 1e-9 * rng.standard_normal(500))
+    for a, b in ((z1, z2), (z1, near), (z1, z1), (z1, z1.conj())):
+        _assert_roots_match(np.column_stack([a + b, a * b]))
+
+
+def test_stacked_roots_match_quad_roots_at_a_zero_product():
+    stack = np.column_stack([domains.sample_rG(300, 0.5, seed=28)[:, 0], np.zeros(300)])
+    stack[:3, 0] = (0.0, complex(0.0, -0.0), -0.25)
+    _assert_roots_match(stack)
+    roots = domains._quad_roots_stack(stack)
+    np.testing.assert_array_equal(roots[:, 1], 0.0)
+
+
 def test_membership_basics():
     assert domains.in_G((0.0, 0.0))
     assert not domains.in_G((2.0, 1.0))  # double root at 1
@@ -109,9 +143,9 @@ def test_scale_psi_maps_G_samples_into_rG():
 def test_sample_rG_membership_and_determinism():
     pts1 = domains.sample_rG(200, 0.5, seed=7)
     pts2 = domains.sample_rG(200, 0.5, seed=7)
-    assert pts1 == pts2
+    assert np.array_equal(pts1, pts2)
     assert all(domains.in_rG(p, 0.5) for p in pts1)
-    assert domains.sample_rG(200, 0.5, seed=8) != pts1
+    assert not np.array_equal(domains.sample_rG(200, 0.5, seed=8), pts1)
 
 
 def test_sample_rG_validates_r():
@@ -228,7 +262,7 @@ def test_upsilon_guards():
         domains.upsilon(0.9, 0.5, (0.0, 0.0))
     with pytest.raises(OutsideDomain):
         domains.upsilon(1.0, 0.5, (1.2, 0.3))  # in G but not in r.G
-    stack = np.array(domains.sample_rG(5, 0.5, seed=19) + [(1.2, 0.3)], dtype=complex)
+    stack = np.vstack([domains.sample_rG(5, 0.5, seed=19), [(1.2, 0.3)]])
     with pytest.raises(OutsideDomain, match=r"\(\(1\.2\+0j\), \(0\.3\+0j\)\)"):
         domains.upsilon(1.0, 0.5, stack)
 
@@ -278,8 +312,9 @@ def test_array_samplers_reproduce_the_scalar_stream_bit_for_bit(r):
         for seed in (0, 1, 2, 17, 1234, 2**31 - 1):
             rg = domains.sample_rG(n, r, seed)
             skew = domains.sample_skew_bidisc(n, r, seed)
-            assert isinstance(rg, list) and all(type(p) is tuple for p in rg)
-            assert all(type(z) is complex for p in rg + skew for z in p)
+            assert rg.dtype == np.complex128 and rg.shape == (n, 2) and rg.flags.c_contiguous
+            assert isinstance(skew, list) and all(type(p) is tuple for p in skew)
+            assert all(type(z) is complex for p in skew for z in p)
             ref_rg = _sample_disc_pairs_reference(
                 n, seed, lambda a, b: (r * (a + b), r * r * a * b)
             )

@@ -3,8 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from skewbidisc import cli, domains, linalg
-from skewbidisc.colligation import SubspaceSplit, build_R
+from skewbidisc import cli, colligation, domains, kernels, linalg
+from skewbidisc.colligation import SubspaceSplit, build_R, s_UR
 from skewbidisc.errors import InvalidParams, OutsideDomain, ShapeMismatch
 from skewbidisc.kernels import (
     KernelContext,
@@ -52,6 +52,7 @@ def test_context_keeps_a_read_only_copy_of_U():
     for b, a in zip(before, after):
         np.testing.assert_array_equal(a, b)
     assert not ctx.U.flags.writeable and not ctx.basis.flags.writeable
+    assert not ctx.urinv.flags.writeable
     with pytest.raises(ValueError):
         ctx.U[0, 0] = 0.0
 
@@ -86,8 +87,6 @@ def test_array_substitution_map_matches_pi_of_t_r(r):
 
 
 def test_substitution_residual_checks_its_points_once(ctx, monkeypatch):
-    from skewbidisc import kernels
-
     lam = domains.sample_skew_bidisc(50, ctx.r, seed=49)
     mu = domains.sample_skew_bidisc(50, ctx.r, seed=50)
     s, t = (_pi_t_r(np.array(p, dtype=complex), ctx.r) for p in (lam, mu))
@@ -257,7 +256,8 @@ def test_stacked_kernels_of_no_pairs(ctx):
 def test_stacked_kernels_name_the_point_outside_the_domain(ctx):
     s = domains.sample_rG(4, ctx.r, seed=65)
     lam = domains.sample_skew_bidisc(4, ctx.r, seed=66)
-    bad_s = s[:2] + [(complex(0.0, 0.9), complex(0.3))] + s[3:]
+    bad_s = s.copy()
+    bad_s[2] = (complex(0.0, 0.9), complex(0.3))
     bad_lam = lam[:2] + [(complex(0.6), complex(0.1))] + lam[3:]
     for call in (kernel_Y, factorization_residual, hermitian_symmetry_residual):
         with pytest.raises(OutsideDomain, match=r"point \(0\.9j, \(0\.3\+0j\)\) is not in r\.G"):
@@ -273,8 +273,8 @@ def test_stacked_kernels_refuse_malformed_stacks(ctx):
     bad_pairs = [
         (s, s[:3]),  # unequal lengths
         (s[0], s[:1]),  # one point against a stack
-        (s[0] + (0.0,), s[0] + (0.0,)),  # three coordinates
-        ([p + (0.0,) for p in s], s),
+        (np.append(s[0], 0.0), np.append(s[0], 0.0)),  # three coordinates
+        (np.column_stack([s, np.zeros(len(s))]), s),
         (np.zeros((1, 2, 2)), np.zeros((1, 2, 2))),
     ]
     for p, q in bad_pairs:
@@ -307,8 +307,8 @@ def test_stacked_kernels_against_50_digit_oracle(r):
     ctx = _context((2, 3), r, seed=69)
     s_edge, lam_edge = _near_boundary_points(r, 3, seed=74)
     t_edge, mu_edge = _near_boundary_points(r, 3, seed=75)
-    s = domains.sample_rG(3, r, seed=70) + s_edge
-    t = domains.sample_rG(3, r, seed=71) + t_edge
+    s = np.vstack([domains.sample_rG(3, r, seed=70), s_edge])
+    t = np.vstack([domains.sample_rG(3, r, seed=71), t_edge])
     lam = domains.sample_skew_bidisc(3, r, seed=72) + lam_edge
     mu = domains.sample_skew_bidisc(3, r, seed=73) + mu_edge
     ys, zs = kernel_Y(ctx, s, t), kernel_Z(ctx, lam, mu)
@@ -411,9 +411,38 @@ def test_kernel_check_computes_few_eigenvalues(seed, eigvalsh_loads, capsys):
     assert 6 < sum(eigvalsh_loads) <= 150
 
 
-def test_kernel_check_checks_each_stack_once(monkeypatch, capsys):
-    from skewbidisc import kernels
+@pytest.mark.parametrize("dims", [(1, 1), (2, 3), (8, 8)])
+@pytest.mark.parametrize("r", [1e-3, 0.5, 0.999])
+@pytest.mark.parametrize("scale", [1.0, 1.05])
+def test_factorization_defect_is_bitwise_the_one_through_s_UR(dims, r, scale):
+    ctx = _context(dims, r, scale=scale)  # 1.05 leaves the factors at larger |s1| to the SVD
+    s, t = domains.sample_rG(40, r, seed=82), domains.sample_rG(40, r, seed=83)
+    y = kernels._y(ctx, s, t)
+    eye = np.eye(ctx.dim)
+    urinv = ctx.U @ ctx.R.inv_matrix
+    a_s = 2.0 * eye - s[:, 0, None, None] * urinv
+    a_t = 2.0 * eye - t[:, 0, None, None] * urinv
+    frac_s, frac_t = s_UR(s, ctx.U, ctx.R), s_UR(t, ctx.U, ctx.R)
+    rhs = 0.5 * a_t.conj().swapaxes(1, 2) @ (eye - frac_t.conj().swapaxes(1, 2) @ frac_s) @ a_s
+    np.testing.assert_array_equal(kernels._factorization_defect(ctx, s, t, y), y - rhs)
+    assert ctx.u_norm == colligation._u_norm_bound(ctx.U)
 
+
+def test_kernel_check_leaves_no_point_to_the_fraction_to_check(monkeypatch, capsys):
+    seen = []
+    point_stack = colligation.point_stack
+
+    def recording(p, r, domain="r.G"):
+        seen.append(domain)
+        return point_stack(p, r, domain)
+
+    monkeypatch.setattr(colligation, "point_stack", recording)
+    assert cli.run(["kernel-check", "--dims", "2,3", "--samples", "60", "--seed", "3"]) == 0
+    capsys.readouterr()
+    assert seen == []
+
+
+def test_kernel_check_checks_each_stack_once(monkeypatch, capsys):
     seen = []
     point_stack = kernels.point_stack
 

@@ -171,7 +171,7 @@ def test_stacked_evaluation_under_numpy_1_solve_rules(monkeypatch):
 
 def test_stacked_evaluation_takes_only_point_stacks():
     c = random_colligation(SubspaceSplit(1, 1), R_DEFAULT, seed=61)
-    s = domains.sample_rG(1, R_DEFAULT, seed=62)[0]
+    s = tuple(domains.sample_rG(1, R_DEFAULT, seed=62)[0].tolist())
     for bad in (s, [s + (0.0,)], np.zeros((1, 2, 2))):
         with pytest.raises(ShapeMismatch):
             evaluate(c, bad)
@@ -199,9 +199,11 @@ def test_stacked_evaluation_against_50_digit_oracle(r):
     mp = mpmath.mp.clone()
     mp.dps = 50
     c = random_colligation(SubspaceSplit(2, 3), r, seed=55)
-    pts = domains.sample_rG(4, r, seed=56)
-    for j, rho in enumerate((0.9, 1 - 1e-6, 1 - 1e-9)):  # roots near the boundary
-        pts += _roots_at(rho * r, 2, seed=57 + j)
+    pts = np.vstack(
+        [domains.sample_rG(4, r, seed=56)]
+        + [_roots_at(rho * r, 2, seed=57 + j)  # roots near the boundary
+           for j, rho in enumerate((0.9, 1 - 1e-6, 1 - 1e-9))]
+    )
     fracs = s_UR(pts, c.U, c.R)
     a_fam, b_fam = evaluate(c, pts)
 
@@ -242,7 +244,7 @@ def _evaluate_reference(c, pts):
 @pytest.mark.parametrize("r", [1e-4, 0.5, 1 - 1e-6])
 def test_pencil_evaluation_matches_the_one_point_fraction_and_solve(dims, r, monkeypatch):
     c = random_colligation(SubspaceSplit(*dims), r, seed=67)
-    pts = domains.sample_rG(40, r, seed=68) + _roots_at((1 - 1e-6) * r, 4, seed=69)
+    pts = np.vstack([domains.sample_rG(40, r, seed=68), _roots_at((1 - 1e-6) * r, 4, seed=69)])
     refs = _evaluate_reference(c, pts)
     model = model_families(_model_from(c), pts)
     stacks = [evaluate(c, pts)]  # in the default blocks: 1, 1, 2 and 3 of them
@@ -436,6 +438,17 @@ def test_realization_accepts_a_full_span_of_dim_plus_one_points():
 
 def test_realization_requires_points():
     c = random_colligation(SubspaceSplit(1, 1), R_DEFAULT, seed=14)
-    with pytest.raises(InvalidParams):
-        realization_from_model(_model_from(c), [])
+    for empty in ([], domains.sample_rG(0, R_DEFAULT, seed=15)):
+        with pytest.raises(InvalidParams):
+            realization_from_model(_model_from(c), empty)
+
+
+def test_realization_takes_a_stack_or_a_list_of_points():
+    c = random_colligation(SubspaceSplit(2, 3), R_DEFAULT, seed=16)
+    pts = domains.sample_rG(24, R_DEFAULT, seed=17)
+    from_stack = realization_from_model(_model_from(c), pts)
+    from_list = realization_from_model(_model_from(c), [tuple(p) for p in pts.tolist()])
+    np.testing.assert_array_equal(from_stack.l_matrix(), from_list.l_matrix())
+    with pytest.raises(InsufficientSamples):
+        realization_from_model(_model_from(c), [tuple(p) for p in pts[:3].tolist()])
 
