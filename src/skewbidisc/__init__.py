@@ -7,6 +7,8 @@ operator kernels linking the bidisc picture to r.G, and a closed-form
 function catalog with dual-path certification.
 """
 
+import types as _types
+
 from .colligation import (
     Colligation,
     ROperator,
@@ -84,65 +86,8 @@ from .catalog import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BidiscModelSpec",
-    "Colligation",
-    "GrModel",
-    "KernelContext",
-    "PartialIsometry",
-    "Point2",
-    "PolyVectorMap",
-    "RankOneParams",
-    "ROperator",
-    "ScalarPoly",
-    "SkewBidiscError",
-    "SubspaceSplit",
-    "SynthesizedModel",
-    "blend_params",
-    "build_R",
-    "catalog_campaign",
-    "eval_f",
-    "eval_u",
-    "eval_u_model",
-    "eval_v",
-    "eval_w",
-    "eval_x",
-    "evaluate",
-    "factorization_residual",
-    "fq_disc",
-    "gram_gap",
-    "in_G",
-    "in_Gr",
-    "in_rG",
-    "inverse",
-    "is_unitary",
-    "isometry_from_gramians",
-    "kernel_Y",
-    "kernel_Z",
-    "magic_params",
-    "magic_phi",
-    "mobius_phi",
-    "model_residual",
-    "norm_bound",
-    "pi_map",
-    "quad_roots",
-    "random_colligation",
-    "random_params",
-    "rank_one_build",
-    "realization_from_model",
-    "s_T",
-    "s_UR",
-    "sample_rG",
-    "scale_psi",
-    "schur_certify",
-    "sigma",
-    "spectral_norm",
-    "substitution_residual",
-    "synthesize",
-    "t_r",
-    "unitary_extension",
-    "upsilon",
-    "upsilon_params",
-    "validate_colligation",
-    "wrap_as_GrModel",
-]
+# The public API is every name imported above; submodules bound by the imports are not part of it.
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _types.ModuleType)
+)

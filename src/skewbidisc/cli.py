@@ -193,7 +193,7 @@ def cmd_sample(cfg: RunConfig) -> Report:
     bad = outside_points(pts, cfg.r)
     checks = [Check("membership", float(len(bad)), 0.0)]
     if cfg.output_path is not None:
-        jsonio.dump_json(jsonio.points_to_json(pts), cfg.output_path)
+        jsonio.dump_json(jsonio.matrix_to_json(pts), cfg.output_path)
     return _finish(cfg, checks, cfg.samples)
 
 

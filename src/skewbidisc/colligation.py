@@ -88,14 +88,75 @@ def build_R(split: SubspaceSplit, r: float) -> ROperator:
     return ROperator(split=split, r=float(r), matrix=np.diag(d.astype(complex)))
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
+class Resolvent:
+    """The constant data of s_{U,R}: a read-only copy of a square U, and R of its size.
+
+    ``urinv`` and ``u_norm`` are computed from the copy once, on first use.
+    :meth:`factors` and :meth:`fractions` take (N, 2) point stacks that the
+    caller has already checked with ``domains.point_stack``.
+    """
+
+    U: np.ndarray
+    R: ROperator
+
+    def __post_init__(self):
+        u = linalg._as_square(self.U, "U")
+        if u.shape != self.R.matrix.shape:
+            raise ShapeMismatch(f"U has shape {u.shape}, R has shape {self.R.matrix.shape}")
+        u = u.copy()
+        u.flags.writeable = False  # the cached values are computed from it
+        object.__setattr__(self, "U", u)
+
+    @cached_property
+    def urinv(self) -> np.ndarray:
+        """U R^{-1}, read-only."""
+        urinv = self.U @ self.R.inv_matrix
+        urinv.flags.writeable = False
+        return urinv
+
+    @cached_property
+    def u_norm(self) -> float:
+        """sqrt of the largest row sum of |U^H U|, a bound on ||U||_2 (rho(A) <= ||A||_inf)."""
+        return float(np.sqrt(np.max(np.sum(np.abs(self.U.conj().T @ self.U), axis=1))))
+
+    def factors(self, stack: np.ndarray, first: int = 0) -> np.ndarray:
+        """The factors 2 R - s1 U at a checked stack.
+
+        Every factor passes :func:`linalg.inverse`'s singular-value test.  As R = diag(1, r),
+        sigma_min >= 2 r - |s1| ||U|| and sigma_max <= 2 + |s1| ||U|| (Weyl); where the first
+        is at least 2 ``linalg.RCOND`` times the second (the 2 absorbs roundoff) the factor
+        passes, and only the others (non-unitary U, |s1| near 2 r) are tested by SVD.
+        NotInvertible names the first failing point and its index, counted from ``first``
+        for a block of a larger stack, as if every factor had been tested.
+        """
+        den = 2.0 * self.R.matrix - stack[:, 0, None, None] * self.U
+        reach = np.abs(stack[:, 0]) * self.u_norm
+        unsettled = np.flatnonzero(2.0 * self.R.r - reach < 2.0 * linalg.RCOND * (2.0 + reach))
+        if unsettled.size:
+            try:
+                linalg.inverse(den[unsettled], first + unsettled)
+            except SingularMatrix as exc:
+                z1, z2 = stack[exc.index - first].tolist()
+                raise NotInvertible(f"resolvent factor singular at ({z1}, {z2}) in r.G: {exc}") from exc
+        return den
+
+    def fractions(self, stack: np.ndarray) -> np.ndarray:
+        """The (N, n, n) fractions s_{U,R} at a checked stack."""
+        s1, s2 = stack[:, 0, None, None], stack[:, 1, None, None]
+        num = 2.0 * s2 * (self.R.inv_matrix @ self.U) - s1 * np.eye(self.U.shape[0])
+        return num @ np.linalg.inv(self.factors(stack))
+
+
+@dataclass(eq=False, frozen=True)
 class Colligation:
     """A realization datum (a, beta, gamma, D) on C (+) C^{d1+d2} plus U and r.
 
     Construction checks shapes and finiteness only.  Whether the block
     matrix is actually unitary is a question for :func:`validate_colligation`,
     which reports rather than raises, so that defective inputs can be
-    examined.
+    examined.  The fields are frozen, so the cached R always matches r; a
+    variant is made with ``dataclasses.replace``.
     """
 
     r: float
@@ -107,12 +168,12 @@ class Colligation:
     U: np.ndarray
 
     def __post_init__(self):
-        self.r = check_r(self.r)
-        self.a = complex(self.a)
-        self.beta = linalg.as_vector(self.beta, "beta")
-        self.gamma = linalg.as_vector(self.gamma, "gamma")
-        self.D = linalg._as_square(self.D, "D")
-        self.U = linalg._as_square(self.U, "U")
+        object.__setattr__(self, "r", check_r(self.r))
+        object.__setattr__(self, "a", complex(self.a))
+        object.__setattr__(self, "beta", linalg.as_vector(self.beta, "beta"))
+        object.__setattr__(self, "gamma", linalg.as_vector(self.gamma, "gamma"))
+        object.__setattr__(self, "D", linalg._as_square(self.D, "D"))
+        object.__setattr__(self, "U", linalg._as_square(self.U, "U"))
         n = self.split.total
         if not (
             self.beta.shape[0] == n
@@ -169,61 +230,9 @@ def s_UR(s, U: np.ndarray, R: ROperator) -> np.ndarray:
     NotInvertible if a resolvent factor fails, which for points of r.G
     indicates the input was corrupt rather than a true singularity.
     """
-    stack, one, u = _checked(s, U, R)
-    fracs = _fractions(stack, u, R, _u_norm_bound(u))
-    return fracs[0] if one else fracs
-
-
-def _checked(s, U, R: ROperator):
-    """The (N, 2) stack of ``s`` with every point checked, whether it was one point, and U."""
     stack, one = point_stack(s, R.r)
-    u = linalg._as_square(U, "U")
-    if u.shape != R.matrix.shape:
-        raise ShapeMismatch(f"U has shape {u.shape}, R has shape {R.matrix.shape}")
-    return stack, one, u
-
-
-def _u_norm_bound(u: np.ndarray) -> float:
-    """sqrt of the largest row sum of |U^H U|, a bound on ||U||_2 (rho(A) <= ||A||_inf)."""
-    return float(np.sqrt(np.max(np.sum(np.abs(u.conj().T @ u), axis=1))))
-
-
-def _fractions(stack: np.ndarray, u: np.ndarray, R: ROperator, u_norm: float) -> np.ndarray:
-    """The (N, n, n) fractions s_{U,R} at a checked stack, given ``_u_norm_bound(u)``."""
-    s1, s2 = stack[:, 0, None, None], stack[:, 1, None, None]
-    num = 2.0 * s2 * (R.inv_matrix @ u) - s1 * np.eye(u.shape[0])
-    return num @ np.linalg.inv(_factors(stack, u, R, u_norm))
-
-
-def _resolvent_factors(s, U, R: ROperator, first: int = 0):
-    """The (N, 2) point stack, whether ``s`` was one point, U, and the factors 2 R - s1 U.
-
-    The points and U are checked, then :func:`_factors` forms and tests the factors.
-    """
-    stack, one, u = _checked(s, U, R)
-    return stack, one, u, _factors(stack, u, R, _u_norm_bound(u), first)
-
-
-def _factors(stack: np.ndarray, u: np.ndarray, R: ROperator, u_norm: float, first: int = 0):
-    """The factors 2 R - s1 U at a checked stack, given ``_u_norm_bound(u)``.
-
-    Every factor passes :func:`linalg.inverse`'s singular-value test.  As R = diag(1, r),
-    sigma_min >= 2 r - |s1| ||U|| and sigma_max <= 2 + |s1| ||U|| (Weyl); where the first
-    is at least 2 ``linalg.RCOND`` times the second (the 2 absorbs roundoff) the factor
-    passes, and only the others (non-unitary U, |s1| near 2 r) are tested by SVD.
-    NotInvertible names the first failing point and its index, counted from ``first``
-    for a block of a larger stack, as if every factor had been tested.
-    """
-    den = 2.0 * R.matrix - stack[:, 0, None, None] * u
-    reach = np.abs(stack[:, 0]) * u_norm
-    unsettled = np.flatnonzero(2.0 * R.r - reach < 2.0 * linalg.RCOND * (2.0 + reach))
-    if unsettled.size:
-        try:
-            linalg.inverse(den[unsettled], first + unsettled)
-        except SingularMatrix as exc:
-            z1, z2 = stack[exc.index - first].tolist()
-            raise NotInvertible(f"resolvent factor singular at ({z1}, {z2}) in r.G: {exc}") from exc
-    return den
+    fracs = Resolvent(U, R).fractions(stack)
+    return fracs[0] if one else fracs
 
 
 def s_T(q, T: np.ndarray) -> np.ndarray:

@@ -182,10 +182,6 @@ def model_spec_from_json(obj: Any, where: str = "model spec") -> BidiscModelSpec
         raise ParseError(f"{where}: {exc}") from exc
 
 
-def points_to_json(pts) -> list:
-    return [[complex_to_json(p[0]), complex_to_json(p[1])] for p in pts]
-
-
 def load_json(path: str | Path, where: str = "input") -> Any:
     try:
         text = Path(path).read_text()

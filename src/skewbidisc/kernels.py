@@ -46,47 +46,26 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .colligation import ROperator, _fractions, _u_norm_bound
+from .colligation import Resolvent
 from .domains import point_stack
 from .errors import InvalidParams, ShapeMismatch
 
 
 @dataclass(eq=False, frozen=True)
-class KernelContext:
+class KernelContext(Resolvent):
     """A unitary U and diagonal R of matching size, with r read off R."""
 
-    U: np.ndarray
-    R: ROperator
     r: float = field(init=False)
 
     def __post_init__(self):
-        u = linalg._as_square(self.U, "U")
-        if u.shape != self.R.matrix.shape:
-            raise ShapeMismatch(
-                f"U has shape {u.shape}, R has shape {self.R.matrix.shape}"
-            )
-        if not linalg.is_unitary(u, 1e-10):
+        super().__post_init__()
+        if not linalg.is_unitary(self.U, 1e-10):
             raise InvalidParams("U is not unitary within 1e-10")
-        u = u.copy()
-        u.flags.writeable = False  # the cached basis is built from it
-        object.__setattr__(self, "U", u)
         object.__setattr__(self, "r", self.R.r)
 
     @property
     def dim(self) -> int:
         return self.U.shape[0]
-
-    @functools.cached_property
-    def urinv(self) -> np.ndarray:
-        """U R^{-1}, read-only."""
-        urinv = self.U @ self.R.inv_matrix
-        urinv.flags.writeable = False
-        return urinv
-
-    @functools.cached_property
-    def u_norm(self) -> float:
-        """The bound on ||U||_2 that the resolvent factors of s_UR are certified with."""
-        return _u_norm_bound(self.U)
 
     @functools.cached_property
     def basis(self) -> np.ndarray:
@@ -185,13 +164,12 @@ def _substitution_defect(ctx: KernelContext, lam: np.ndarray, mu: np.ndarray) ->
 def _factorization_defect(ctx: KernelContext, s, t, y: np.ndarray) -> np.ndarray:
     """Y(s, t), given as ``y``, minus (1/2) a_t* (1 - F_t* F_s) a_s, with a = 2 - s1 U R^{-1}, F = s_UR.
 
-    F is the fraction of ``s_UR`` from its checked-stack core, with U checked by the context.
+    F comes from the context's :meth:`Resolvent.fractions`, as the points are already checked.
     """
     eye = np.eye(ctx.dim)
     a_s = 2.0 * eye - s[:, 0, None, None] * ctx.urinv
     a_t = 2.0 * eye - t[:, 0, None, None] * ctx.urinv
-    frac_s = _fractions(s, ctx.U, ctx.R, ctx.u_norm)
-    frac_t = _fractions(t, ctx.U, ctx.R, ctx.u_norm)
+    frac_s, frac_t = ctx.fractions(s), ctx.fractions(t)
     rhs = 0.5 * a_t.conj().swapaxes(1, 2) @ (eye - frac_t.conj().swapaxes(1, 2) @ frac_s) @ a_s
     return y - rhs
 

@@ -26,9 +26,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import linalg
-from .colligation import Check, Colligation, ROperator, ValidationReport, _resolvent_factors
+from .colligation import Check, Colligation, ROperator, Resolvent, ValidationReport
 from .colligation import s_UR  # noqa: F401  bench/test_bench.py rebinds realization.s_UR
-from .domains import sample_rG
+from .domains import point_stack, sample_rG
 from .errors import InsufficientSamples, InvalidParams, NotInvertible, ShapeMismatch
 
 Evaluator = Callable[[Sequence[complex]], np.ndarray]
@@ -71,8 +71,10 @@ def evaluate(c: Colligation, pts) -> tuple[np.ndarray, np.ndarray]:
     a_fam = np.ones((1 + c.dim, len(pts)), dtype=complex)
     b_fam = np.empty_like(a_fam)
     r_diag, d_ru = np.diag(c.R.matrix), c.D @ (c.R.inv_matrix @ c.U)
+    res = Resolvent(c.U, c.R)
     for b in linalg.blocks(len(pts), c.dim):
-        stack, _, _, den = _resolvent_factors(pts[b], c.U, c.R, b.start)
+        stack, _ = point_stack(pts[b], c.r)
+        den = res.factors(stack, b.start)
         s1, s2 = stack[:, :1], stack[:, 1:]
         pencil = den - (2.0 * s2[:, :, None] * d_ru - s1[:, :, None] * c.D)  # M - D N
         gamma = np.broadcast_to(c.gamma[:, None], (len(stack), c.dim, 1))
@@ -131,7 +133,9 @@ def model_families(m: GrModel, pts) -> tuple[np.ndarray, np.ndarray]:
 
     Raises ShapeMismatch on values of the wrong shape or non-finite values.
     """
-    stack, _, U, den = _resolvent_factors(pts, m.U, m.R)
+    stack, _ = point_stack(pts, m.R.r)
+    res = Resolvent(m.U, m.R)
+    den = res.factors(stack)
     n = len(stack)
     u = np.asarray(m.u_eval(stack), dtype=complex)
     f = np.asarray(m.f_eval(stack), dtype=complex)
@@ -141,7 +145,7 @@ def model_families(m: GrModel, pts) -> tuple[np.ndarray, np.ndarray]:
             f"model maps gave u {u.shape} and f {f.shape} at {n} points, or non-finite values"
         )
     z = np.linalg.solve(den, u[:, :, None])[:, :, 0]  # N z = s_{U,R} u
-    su = 2.0 * stack[:, 1:] * ((z @ U.T) / np.diag(m.R.matrix)) - stack[:, :1] * z
+    su = 2.0 * stack[:, 1:] * ((z @ res.U.T) / np.diag(m.R.matrix)) - stack[:, :1] * z
     return np.vstack([np.ones((1, n)), su.T]), np.vstack([f[None, :], u.T])
 
 

@@ -1,4 +1,5 @@
 import re
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from skewbidisc import domains, linalg
 from skewbidisc.colligation import (
     Check,
     Colligation,
+    Resolvent,
     SubspaceSplit,
     ValidationReport,
     build_R,
@@ -237,6 +239,23 @@ def test_certificate_and_svd_agree_where_the_bound_is_tight(eps):
         np.testing.assert_array_equal(s_UR(pts, U, R), expected)
 
 
+def test_resolvent_keeps_a_read_only_copy_of_U():
+    R = build_R(SubspaceSplit(2, 3), 0.5)
+    u = haar_unitary(5, 64)
+    res = Resolvent(u, R)
+    pts = domains.sample_rG(30, 0.5, seed=65)
+    urinv, fracs = res.urinv.copy(), res.fractions(pts)
+    u[0, 0] += 1.0
+    u[2] *= 1j
+    np.testing.assert_array_equal(res.urinv, urinv)
+    np.testing.assert_array_equal(res.fractions(pts), fracs)
+    assert not res.U.flags.writeable and not res.urinv.flags.writeable
+    with pytest.raises(ValueError):
+        res.U[0, 0] = 0.0
+    with pytest.raises(ShapeMismatch):
+        Resolvent(np.eye(4), R)
+
+
 def test_s_T_zero_operator():
     q = (0.5 + 0.2j, 0.1)
     F = s_T(q, np.zeros((3, 3), dtype=complex))
@@ -380,6 +399,17 @@ def test_colligation_shape_validation():
             D=np.zeros((2, 2), dtype=complex),
             U=np.eye(2, dtype=complex),
         )
+
+
+def test_colligation_is_frozen_and_replace_rebuilds_R():
+    c = random_colligation(SubspaceSplit(2, 3), 0.5, seed=3)
+    assert c.R.r == 0.5
+    with pytest.raises(FrozenInstanceError):
+        c.r = 0.3
+    with pytest.raises(FrozenInstanceError):
+        c.a = 0.0
+    assert c.r == c.R.r == 0.5
+    assert replace(c, r=0.3).R.r == 0.3
 
 
 def test_l_matrix_layout():

@@ -146,7 +146,7 @@ def test_model_spec_rejects_bad_terms():
 def test_points_roundtrip(tmp_path):
     pts = [(0.1 + 0.2j, -0.3j), (0.0 + 0j, 0.5 + 0j)]
     path = tmp_path / "pts.json"
-    jsonio.dump_json(jsonio.points_to_json(pts), path)
+    jsonio.dump_json(jsonio.matrix_to_json(pts), path)
     back = [tuple(complex(z["re"], z["im"]) for z in pair) for pair in jsonio.load_json(path)]
     assert back == pts
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from skewbidisc import cli, colligation, domains, kernels, linalg
-from skewbidisc.colligation import SubspaceSplit, build_R, s_UR
+from skewbidisc.colligation import Resolvent, SubspaceSplit, build_R, s_UR
 from skewbidisc.errors import InvalidParams, OutsideDomain, ShapeMismatch
 from skewbidisc.kernels import (
     KernelContext,
@@ -425,7 +425,7 @@ def test_factorization_defect_is_bitwise_the_one_through_s_UR(dims, r, scale):
     frac_s, frac_t = s_UR(s, ctx.U, ctx.R), s_UR(t, ctx.U, ctx.R)
     rhs = 0.5 * a_t.conj().swapaxes(1, 2) @ (eye - frac_t.conj().swapaxes(1, 2) @ frac_s) @ a_s
     np.testing.assert_array_equal(kernels._factorization_defect(ctx, s, t, y), y - rhs)
-    assert ctx.u_norm == colligation._u_norm_bound(ctx.U)
+    assert ctx.u_norm == Resolvent(ctx.U, ctx.R).u_norm
 
 
 def test_kernel_check_leaves_no_point_to_the_fraction_to_check(monkeypatch, capsys):

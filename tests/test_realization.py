@@ -98,7 +98,7 @@ def test_model_residual_vanishes_for_valid_colligations(split):
 @pytest.mark.parametrize("r", [1e-3, 0.5, 0.999])
 def test_stacked_evaluation_matches_one_point_formulas(dims, r):
     c = random_colligation(SubspaceSplit(*dims), r, seed=50)
-    c.a += 0.05  # off the model identity, so the residuals are not all roundoff
+    c = replace(c, a=c.a + 0.05)  # off the model identity, so the residuals are not all roundoff
     pts = domains.sample_rG(30, r, seed=51)
     a_fam, b_fam = evaluate(c, pts)
     assert a_fam.shape == b_fam.shape == (1 + c.dim, 30)
@@ -330,7 +330,7 @@ def test_schur_certify_vacuous_and_valid():
 @pytest.mark.parametrize("n", [0, 1, 19, 20, 21, 300])
 def test_schur_certify_pair_grid_is_the_first_twenty_points(n):
     c = random_colligation(SubspaceSplit(2, 3), R_DEFAULT, seed=63)
-    c.a += 0.05  # off the model identity, so the pair residual is not roundoff
+    c = replace(c, a=c.a + 0.05)  # off the model identity, so the pair residual is not roundoff
     grid = domains.sample_rG(min(n, 20), c.r, 64)
     expected = linalg.gram_gap(*evaluate(c, grid))
     assert _residuals(schur_certify(c, n, seed=64))["pair_model_residual"] == expected

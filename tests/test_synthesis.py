@@ -353,7 +353,7 @@ def _reference_precheck(spec, pts):
 @pytest.mark.parametrize("shift", [0.0, 0.1])
 def test_model_families_match_model_residual_loop(seed, shift, tmp_path, capsys):
     c = random_colligation(SubspaceSplit(2, 3), R, seed=seed)
-    c.a += shift  # a nonzero shift breaks the model identity
+    c = replace(c, a=c.a + shift)  # a nonzero shift breaks the model identity
     pts = domains.sample_rG(12, R, seed=seed + 1)
     ref = max(model_residual(c, s, t) for s in pts for t in pts)
     model = GrModel(c.dim, c.U, c.R, lambda s: eval_u(c, s), lambda s: eval_f(c, s))
