@@ -93,15 +93,15 @@ class Resolvent:
     """The constant data of s_{U,R}: a read-only copy of a square U, and R of its size.
 
     ``urinv`` and ``u_norm`` are computed from the copy once, on first use.
-    :meth:`factors` and :meth:`fractions` take (N, 2) point stacks that the
-    caller has already checked with ``domains.point_stack``.
+    :meth:`check_factors`, :meth:`factors` and :meth:`fractions` take (N, 2) point
+    stacks that the caller has already checked with ``domains.point_stack``.
     """
 
     U: np.ndarray
     R: ROperator
 
     def __post_init__(self):
-        u = linalg._as_square(self.U, "U")
+        u = linalg.as_square(self.U, "U")
         if u.shape != self.R.matrix.shape:
             raise ShapeMismatch(f"U has shape {u.shape}, R has shape {self.R.matrix.shape}")
         u = u.copy()
@@ -120,26 +120,29 @@ class Resolvent:
         """sqrt of the largest row sum of |U^H U|, a bound on ||U||_2 (rho(A) <= ||A||_inf)."""
         return float(np.sqrt(np.max(np.sum(np.abs(self.U.conj().T @ self.U), axis=1))))
 
-    def factors(self, stack: np.ndarray, first: int = 0) -> np.ndarray:
-        """The factors 2 R - s1 U at a checked stack.
+    def check_factors(self, stack: np.ndarray, first: int = 0) -> None:
+        """Test the factors 2 R - s1 U at a checked stack as :func:`linalg.inverse` would.
 
-        Every factor passes :func:`linalg.inverse`'s singular-value test.  As R = diag(1, r),
-        sigma_min >= 2 r - |s1| ||U|| and sigma_max <= 2 + |s1| ||U|| (Weyl); where the first
-        is at least 2 ``linalg.RCOND`` times the second (the 2 absorbs roundoff) the factor
-        passes, and only the others (non-unitary U, |s1| near 2 r) are tested by SVD.
+        As R = diag(1, r), sigma_min >= 2 r - |s1| ||U|| and sigma_max <= 2 + |s1| ||U|| (Weyl);
+        where the first is at least 2 ``linalg.RCOND`` times the second (the 2 absorbs roundoff)
+        the factor passes, and only the others (non-unitary U, |s1| near 2 r) are tested by SVD.
         NotInvertible names the first failing point and its index, counted from ``first``
         for a block of a larger stack, as if every factor had been tested.
         """
-        den = 2.0 * self.R.matrix - stack[:, 0, None, None] * self.U
         reach = np.abs(stack[:, 0]) * self.u_norm
         unsettled = np.flatnonzero(2.0 * self.R.r - reach < 2.0 * linalg.RCOND * (2.0 + reach))
         if unsettled.size:
+            den = 2.0 * self.R.matrix - stack[unsettled, 0, None, None] * self.U
             try:
-                linalg.inverse(den[unsettled], first + unsettled)
+                linalg.inverse(den, first + unsettled)
             except SingularMatrix as exc:
                 z1, z2 = stack[exc.index - first].tolist()
                 raise NotInvertible(f"resolvent factor singular at ({z1}, {z2}) in r.G: {exc}") from exc
-        return den
+
+    def factors(self, stack: np.ndarray, first: int = 0) -> np.ndarray:
+        """The factors 2 R - s1 U at a checked stack, each passed by :meth:`check_factors`."""
+        self.check_factors(stack, first)
+        return 2.0 * self.R.matrix - stack[:, 0, None, None] * self.U
 
     def fractions(self, stack: np.ndarray) -> np.ndarray:
         """The (N, n, n) fractions s_{U,R} at a checked stack."""
@@ -172,8 +175,8 @@ class Colligation:
         object.__setattr__(self, "a", complex(self.a))
         object.__setattr__(self, "beta", linalg.as_vector(self.beta, "beta"))
         object.__setattr__(self, "gamma", linalg.as_vector(self.gamma, "gamma"))
-        object.__setattr__(self, "D", linalg._as_square(self.D, "D"))
-        object.__setattr__(self, "U", linalg._as_square(self.U, "U"))
+        object.__setattr__(self, "D", linalg.as_square(self.D, "D"))
+        object.__setattr__(self, "U", linalg.as_square(self.U, "U"))
         n = self.split.total
         if not (
             self.beta.shape[0] == n
@@ -243,7 +246,7 @@ def s_T(q, T: np.ndarray) -> np.ndarray:
     NotInvertible when the inversion genuinely fails.
     """
     q1, q2 = complex(q[0]), complex(q[1])
-    t = linalg._as_square(T, "T")
+    t = linalg.as_square(T, "T")
     n = t.shape[0]
     try:
         res = linalg.inverse(2.0 * np.eye(n) - q1 * t)

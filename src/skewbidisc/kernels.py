@@ -36,7 +36,9 @@ B = U R^{-1}:
 with a = r conj(m2), d = conj(m1) l1, b = r l2, a' = conj(m1),
 d' = r^2 conj(m2) l2 and b' = l1, each triple product expanded into its
 eight terms.  :class:`KernelContext` caches the eight matrices as one
-(8, n^2) array, so N kernel values are one (N, 8) @ (8, n^2) product.
+(8, n^2) array, so N kernel values are one (N, 8) @ (8, n^2) product.  It
+also diagonalizes B once, so that the fractions of the factorization check
+are a column scaling in that eigenbasis (:meth:`KernelContext.fractions`).
 """
 
 from __future__ import annotations
@@ -77,6 +79,45 @@ class KernelContext(Resolvent):
         basis = np.stack(mats).reshape(8, -1)
         basis.flags.writeable = False  # computed once, shared by every kernel value
         return basis
+
+    @functools.cached_property
+    def eigen(self) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+        """(lam, Q, V^-1), read-only, where B = U R^{-1} = V diag(lam) V^{-1} and Q = R^{-1} V.
+
+        None where ``eig`` or the inverse of V fails, an entry is not finite, or
+        ||V||_F ||V^{-1}||_F, which bounds cond_2(V), exceeds ``linalg.EIGEN_GATE``:
+        a nearly defective B then has no eigenbasis fit to compute with.
+        """
+        try:
+            lam, v = np.linalg.eig(self.urinv)
+            vinv = np.linalg.inv(v)
+        except np.linalg.LinAlgError:
+            return None
+        parts = (lam, self.R.inv_matrix @ v, vinv)
+        finite = all(np.isfinite(p).all() for p in parts)
+        if not finite or np.linalg.norm(v) * np.linalg.norm(vinv) > linalg.EIGEN_GATE:
+            return None
+        for p in parts:
+            p.flags.writeable = False
+        return parts
+
+    def fractions(self, stack: np.ndarray) -> np.ndarray:
+        """The (N, n, n) fractions s_{U,R} at a checked stack, through :attr:`eigen`.
+
+        As 2 R - s1 U = (2 - s1 B) R, s_{U,R} = R^{-1} phi(B) for the Mobius map
+        phi(z) = (2 s2 z - s1) / (2 - s1 z), that is Q diag(phi(lam)) V^{-1}: one column
+        scaling and one product per point, with no LU.  The factors are tested first by
+        :meth:`Resolvent.check_factors`, so NotInvertible names the same point as
+        :func:`colligation.s_UR`.  With no points or no eigenbasis this is
+        :meth:`Resolvent.fractions`.
+        """
+        eigen = self.eigen if len(stack) else None
+        if eigen is None:
+            return super().fractions(stack)
+        self.check_factors(stack)
+        lam, q, vinv = eigen
+        s1, s2 = stack[:, 0, None], stack[:, 1, None]
+        return (q * ((2.0 * s2 * lam - s1) / (2.0 - s1 * lam))[:, None, :]) @ vinv
 
 
 def _combine(ctx: KernelContext, count: int, *coefs) -> np.ndarray:
@@ -164,7 +205,7 @@ def _substitution_defect(ctx: KernelContext, lam: np.ndarray, mu: np.ndarray) ->
 def _factorization_defect(ctx: KernelContext, s, t, y: np.ndarray) -> np.ndarray:
     """Y(s, t), given as ``y``, minus (1/2) a_t* (1 - F_t* F_s) a_s, with a = 2 - s1 U R^{-1}, F = s_UR.
 
-    F comes from the context's :meth:`Resolvent.fractions`, as the points are already checked.
+    F comes from the context's :meth:`KernelContext.fractions`, as the points are already checked.
     """
     eye = np.eye(ctx.dim)
     a_s = 2.0 * eye - s[:, 0, None, None] * ctx.urinv

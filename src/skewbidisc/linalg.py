@@ -28,6 +28,10 @@ from .errors import DimensionTooSmall, GramianMismatch, ShapeMismatch, SingularM
 # Relative cutoff below which singular values count as zero.
 RCOND = 1e-12
 
+# Largest ||V||_F ||V^-1||_F, an upper bound on cond_2(V) that needs no SVD, for which
+# an eigenbasis V of U R^-1 stands in for the per-point resolvent factors.
+EIGEN_GATE = 256.0
+
 # Matrix entries per (N, n, n) working stack (64 KB of complex128): point-stack
 # computations run in :func:`blocks` of points, so their memory does not grow with N.
 BLOCK_ENTRIES = 1 << 12
@@ -43,7 +47,8 @@ def _as_matrix(m, name: str = "matrix", stack: bool = False) -> np.ndarray:
     return a
 
 
-def _as_square(m, name: str = "matrix", stack: bool = False) -> np.ndarray:
+def as_square(m, name: str = "matrix", stack: bool = False) -> np.ndarray:
+    """Coerce to a finite complex square matrix; with ``stack``, a ``(..., n, n)`` stack of them."""
     a = _as_matrix(m, name, stack)
     if a.shape[-1] != a.shape[-2]:
         raise ShapeMismatch(f"{name} must be square, got shape {a.shape}")
@@ -69,7 +74,7 @@ def inverse(m, index=None) -> np.ndarray:
         stack is tested, by one batched SVD, before anything is inverted.
         Given ``index``, it names the k-th matrix ``index[k]``, its place in a larger stack.
     """
-    a = _as_square(m, "inverse operand", stack=True)
+    a = as_square(m, "inverse operand", stack=True)
     if a.size == 0:
         return a.copy()
     svals = np.linalg.svd(a, compute_uv=False).reshape(-1, a.shape[-1])
@@ -168,7 +173,7 @@ def largest_spectral_norm(m, floor: float = 0.0) -> float:
 
 def is_unitary(m, tol: float = 1e-12) -> bool:
     """Check ``M* M = M M* = I`` in spectral norm within ``tol``."""
-    a = _as_square(m, "unitarity operand")
+    a = as_square(m, "unitarity operand")
     eye = np.eye(a.shape[0])
     return (
         spectral_norm(a.conj().T @ a - eye) <= tol

@@ -34,14 +34,42 @@ def test_all_is_every_name_init_imports_from_a_submodule():
     assert {name for _, name in _relative_imports(PACKAGE / "__init__.py")} == exported
 
 
-def test_no_module_imports_another_modules_private_names():
-    reach = {
-        (path.stem, module, name)
-        for path in sorted(PACKAGE.glob("*.py"))
-        for module, name in _relative_imports(path)
-        if module and name.startswith("_")
+def _private_attribute_reads(source: str):
+    """(module, name) for each ``module._name`` read, where ``from . import module`` bound module."""
+    tree = ast.parse(source)
+    modules = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module is None
+        for alias in node.names
     }
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in modules
+            and node.attr.startswith("_")
+        ):
+            yield node.value.id, node.attr
+
+
+def test_no_module_imports_another_modules_private_names():
+    reach = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        reach |= {(path.stem, m, name) for m, name in _relative_imports(path) if m and name.startswith("_")}
+        reach |= {(path.stem, m, name) for m, name in _private_attribute_reads(path.read_text())}
     assert reach == SHARED_PRIVATES
+
+
+def test_private_attribute_reads_of_package_modules_are_seen():
+    source = (
+        "from . import linalg as la, domains\n"
+        "import numpy as np\n"
+        "a = la._as_matrix(np._NoValue)\n"
+        "b = domains.point_stack\n"
+        "c = self._cache\n"
+    )
+    assert list(_private_attribute_reads(source)) == [("la", "_as_matrix")]
 
 
 def test_every_module_uses_what_it_imports():
