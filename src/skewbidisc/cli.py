@@ -23,7 +23,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -58,7 +58,6 @@ CERTIFY_TOL = 1e-12
 
 @dataclass(frozen=True)
 class RunConfig:
-    command: str
     tol: float = DEFAULT_TOL
     r: float = DEFAULT_R
     samples: int = DEFAULT_SAMPLES
@@ -79,48 +78,23 @@ class RunConfig:
             raise ConfigError(f"--tol must be positive and finite, got {self.tol}")
 
 
-@dataclass
-class Report:
-    command: str
-    passed: bool
-    max_residual: float
-    checks: tuple[Check, ...]
-    seed: int
-    sample_count: int
-    elapsed_ms: float = field(default=0.0)
-
-
-def _finish(cfg: RunConfig, checks: Sequence[Check], sample_count: int) -> Report:
-    summary = ValidationReport(tuple(checks))
-    return Report(
-        command=cfg.command,
-        passed=summary.passed,
-        max_residual=summary.max_residual,
-        checks=summary.checks,
-        seed=cfg.seed,
-        sample_count=sample_count,
-    )
-
-
-def cmd_validate(cfg: RunConfig) -> Report:
+def cmd_validate(cfg: RunConfig) -> tuple[Sequence[Check], int]:
     if cfg.input_path is None:
         raise ConfigError("validate requires --input")
     obj = jsonio.load_json(cfg.input_path)
     colligation = jsonio.colligation_from_json(obj)
-    report = validate_colligation(colligation, tol=cfg.tol)
-    return _finish(cfg, report.checks, 0)
+    return validate_colligation(colligation, tol=cfg.tol).checks, 0
 
 
-def cmd_certify(cfg: RunConfig) -> Report:
+def cmd_certify(cfg: RunConfig) -> tuple[Sequence[Check], int]:
     if cfg.input_path is None:
         raise ConfigError("certify requires --input")
     obj = jsonio.load_json(cfg.input_path)
     colligation = jsonio.colligation_from_json(obj)
-    report = schur_certify(colligation, cfg.samples, cfg.seed, tol=cfg.tol)
-    return _finish(cfg, report.checks, cfg.samples)
+    return schur_certify(colligation, cfg.samples, cfg.seed, tol=cfg.tol).checks, cfg.samples
 
 
-def cmd_synthesize(cfg: RunConfig) -> Report:
+def cmd_synthesize(cfg: RunConfig) -> tuple[Sequence[Check], int]:
     if cfg.input_path is None:
         raise ConfigError("synthesize requires --input")
     obj = jsonio.load_json(cfg.input_path)
@@ -130,7 +104,7 @@ def cmd_synthesize(cfg: RunConfig) -> Report:
         model = synthesize(spec, pts, tol=cfg.tol)
     except GramianMismatch as exc:
         residual = exc.residual if exc.residual is not None else float("inf")
-        return _finish(cfg, [Check(exc.check, residual, cfg.tol)], len(pts))
+        return [Check(exc.check, residual, cfg.tol)], len(pts)
     rep = model.residual_report
     checks = [
         Check("sigma_symmetry", rep["sigma_symmetry_residual"], cfg.tol),
@@ -152,10 +126,10 @@ def cmd_synthesize(cfg: RunConfig) -> Report:
     checks.append(Check("roundtrip_f", roundtrip, 1e-8))
     if cfg.output_path is not None:
         jsonio.dump_json(jsonio.colligation_to_json(colligation), cfg.output_path)
-    return _finish(cfg, checks, len(pts))
+    return checks, len(pts)
 
 
-def cmd_kernel_check(cfg: RunConfig) -> Report:
+def cmd_kernel_check(cfg: RunConfig) -> tuple[Sequence[Check], int]:
     d1, d2 = cfg.dims
     if d1 < 1 or d2 < 1:
         raise ConfigError(f"--dims must both be >= 1, got {d1},{d2}")
@@ -172,10 +146,10 @@ def cmd_kernel_check(cfg: RunConfig) -> Report:
         for name, value in residual_maxima(ctx, pairs_s, pairs_t, lams, mus).items():
             worst[name] = max(worst.get(name, 0.0), value)
     checks = [Check(name, value, cfg.tol) for name, value in worst.items()]
-    return _finish(cfg, checks, n_unitaries * per)
+    return checks, n_unitaries * per
 
 
-def cmd_catalog(cfg: RunConfig) -> Report:
+def cmd_catalog(cfg: RunConfig) -> tuple[Sequence[Check], int]:
     if cfg.name is None:
         raise ConfigError(f"catalog requires --name (one of {', '.join(CATALOG_NAMES)})")
     params = named_params(cfg.name, cfg.r, cfg.seed)
@@ -185,16 +159,16 @@ def cmd_catalog(cfg: RunConfig) -> Report:
         pts = sample_rG(min(cfg.samples, 200), cfg.r, cfg.seed + 1)
         gap = np.abs(closed_form(pts) - upsilon(params.omega1, cfg.r, pts))
         checks.append(Check("upsilon_identity", float(np.max(gap, initial=0.0)), 1e-12))
-    return _finish(cfg, checks, cfg.samples)
+    return checks, cfg.samples
 
 
-def cmd_sample(cfg: RunConfig) -> Report:
+def cmd_sample(cfg: RunConfig) -> tuple[Sequence[Check], int]:
     pts = sample_rG(cfg.samples, cfg.r, cfg.seed)
     bad = outside_points(pts, cfg.r)
     checks = [Check("membership", float(len(bad)), 0.0)]
     if cfg.output_path is not None:
         jsonio.dump_json(jsonio.matrix_to_json(pts), cfg.output_path)
-    return _finish(cfg, checks, cfg.samples)
+    return checks, cfg.samples
 
 
 _COMMANDS = {
@@ -221,7 +195,7 @@ def _parse_dims(text: str) -> tuple[int, int]:
 # The flags each command reads; argparse refuses the others with exit status 2.
 _FLAGS = {
     "validate": ("input", "tol"),
-    "certify": ("input", "samples", "seed", "tol", "r"),
+    "certify": ("input", "samples", "seed", "tol"),
     "synthesize": ("input", "output", "seed", "tol"),
     "kernel-check": ("dims", "r", "samples", "seed", "tol"),
     "catalog": ("name", "r", "samples", "seed", "tol"),
@@ -266,16 +240,20 @@ def run(argv: Sequence[str] | None = None) -> int:
     try:
         if "dims" in args:
             args["dims"] = _parse_dims(args["dims"])
-        cfg = RunConfig(command=command, **args)
-        report = _COMMANDS[command](cfg)
+        cfg = RunConfig(**args)
+        checks, sample_count = _COMMANDS[command](cfg)
     except (ConfigError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SkewBidiscError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    report.elapsed_ms = (time.perf_counter() - started) * 1000.0
-    print(json.dumps(asdict(report), indent=2))
+    report = ValidationReport(tuple(checks))
+    print(json.dumps(dict(
+        command=command, passed=report.passed, max_residual=report.max_residual,
+        checks=report.checks, seed=cfg.seed, sample_count=sample_count,
+        elapsed_ms=(time.perf_counter() - started) * 1000.0,
+    ), indent=2))
     return 0 if report.passed else 1
 
 

@@ -66,11 +66,17 @@ class SubspaceSplit:
 
 @dataclass(eq=False, frozen=True)
 class ROperator:
-    """The diagonal diag(1_{d1}, r 1_{d2}) with exact inverse."""
+    """The diagonal diag(1_{d1}, r 1_{d2}) and its exact inverse, both read-only."""
 
     split: SubspaceSplit
     r: float
-    matrix: np.ndarray
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        d = np.concatenate([np.ones(self.split.d1), np.full(self.split.d2, self.r)])
+        matrix = np.diag(d.astype(complex))
+        matrix.flags.writeable = False  # inv_matrix is computed from it
+        return matrix
 
     @cached_property
     def inv_matrix(self) -> np.ndarray:
@@ -83,18 +89,17 @@ def build_R(split: SubspaceSplit, r: float) -> ROperator:
     """Assemble the R operator for a proper split and valid r."""
     if not split.proper:
         raise InvalidParams(f"split ({split.d1}, {split.d2}) must have both parts >= 1")
-    check_r(r)
-    d = np.concatenate([np.ones(split.d1), np.full(split.d2, float(r))])
-    return ROperator(split=split, r=float(r), matrix=np.diag(d.astype(complex)))
+    return ROperator(split=split, r=check_r(r))
 
 
 @dataclass(eq=False, frozen=True)
 class Resolvent:
     """The constant data of s_{U,R}: a read-only copy of a square U, and R of its size.
 
-    ``urinv`` and ``u_norm`` are computed from the copy once, on first use.
-    :meth:`check_factors`, :meth:`factors` and :meth:`fractions` take (N, 2) point
-    stacks that the caller has already checked with ``domains.point_stack``.
+    ``urinv`` and ``u_norm`` are computed from the copy once, on first use; ``dim``
+    and ``r`` are read off U and R.  :meth:`check_factors`, :meth:`factors` and
+    :meth:`fractions` take (N, 2) point stacks that the caller has already checked
+    with ``domains.point_stack``.  Every type that holds a (U, R) pair subclasses this.
     """
 
     U: np.ndarray
@@ -107,6 +112,14 @@ class Resolvent:
         u = u.copy()
         u.flags.writeable = False  # the cached values are computed from it
         object.__setattr__(self, "U", u)
+
+    @property
+    def dim(self) -> int:
+        return self.U.shape[0]
+
+    @property
+    def r(self) -> float:
+        return self.R.r
 
     @cached_property
     def urinv(self) -> np.ndarray:
@@ -130,7 +143,7 @@ class Resolvent:
         for a block of a larger stack, as if every factor had been tested.
         """
         reach = np.abs(stack[:, 0]) * self.u_norm
-        unsettled = np.flatnonzero(2.0 * self.R.r - reach < 2.0 * linalg.RCOND * (2.0 + reach))
+        unsettled = np.flatnonzero(2.0 * self.r - reach < 2.0 * linalg.RCOND * (2.0 + reach))
         if unsettled.size:
             den = 2.0 * self.R.matrix - stack[unsettled, 0, None, None] * self.U
             try:
@@ -147,7 +160,7 @@ class Resolvent:
     def fractions(self, stack: np.ndarray) -> np.ndarray:
         """The (N, n, n) fractions s_{U,R} at a checked stack."""
         s1, s2 = stack[:, 0, None, None], stack[:, 1, None, None]
-        num = 2.0 * s2 * (self.R.inv_matrix @ self.U) - s1 * np.eye(self.U.shape[0])
+        num = 2.0 * s2 * (self.R.inv_matrix @ self.U) - s1 * np.eye(self.dim)
         return num @ np.linalg.inv(self.factors(stack))
 
 

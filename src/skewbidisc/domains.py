@@ -50,10 +50,10 @@ def _point(p: Sequence[complex]) -> Point2:
 
 
 def check_r(r: float) -> float:
-    """Validate the skew parameter: a real number strictly inside (0, 1)."""
+    """Validate the skew parameter: a real number strictly inside (0, 1), else InvalidParams."""
     rf = float(r)
     if not 0.0 < rf < 1.0:
-        raise ValueError(f"skew parameter must satisfy 0 < r < 1, got {r}")
+        raise InvalidParams(f"skew parameter must satisfy 0 < r < 1, got {r}")
     return rf
 
 

@@ -33,10 +33,6 @@ class ShapeMismatch(SkewBidiscError):
     """Operands have incompatible shapes."""
 
 
-class DimensionTooSmall(SkewBidiscError):
-    """A unitary extension was requested in a space smaller than the rank."""
-
-
 class GramianMismatch(SkewBidiscError):
     """Two vector families do not have matching Gramians within tolerance.
 

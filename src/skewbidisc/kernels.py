@@ -44,7 +44,7 @@ are a column scaling in that eigenbasis (:meth:`KernelContext.fractions`).
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
@@ -55,19 +55,12 @@ from .errors import InvalidParams, ShapeMismatch
 
 @dataclass(eq=False, frozen=True)
 class KernelContext(Resolvent):
-    """A unitary U and diagonal R of matching size, with r read off R."""
-
-    r: float = field(init=False)
+    """A unitary U and diagonal R of matching size."""
 
     def __post_init__(self):
         super().__post_init__()
         if not linalg.is_unitary(self.U, 1e-10):
             raise InvalidParams("U is not unitary within 1e-10")
-        object.__setattr__(self, "r", self.R.r)
-
-    @property
-    def dim(self) -> int:
-        return self.U.shape[0]
 
     @functools.cached_property
     def basis(self) -> np.ndarray:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionTooSmall, GramianMismatch, ShapeMismatch, SingularMatrix
+from .errors import GramianMismatch, ShapeMismatch, SingularMatrix
 
 # Relative cutoff below which singular values count as zero.
 RCOND = 1e-12
@@ -205,15 +205,14 @@ class PartialIsometry:
 
     domain_basis: np.ndarray
     image_basis: np.ndarray
-    rank: int
+
+    @property
+    def rank(self) -> int:
+        return self.domain_basis.shape[1]
 
     @property
     def dim_domain(self) -> int:
         return self.domain_basis.shape[0]
-
-    @property
-    def dim_image(self) -> int:
-        return self.image_basis.shape[0]
 
 
 def _family(fam, name: str) -> np.ndarray:
@@ -280,7 +279,7 @@ def isometry_from_gramians(A, B, tol: float = 1e-10) -> PartialIsometry:
     smax = float(svals[0]) if svals.size else 0.0
     rank = int(np.sum(svals > tol * smax)) if smax > 0.0 else 0
     p, _, qh = np.linalg.svd(b_mat @ vh_a[:rank].conj().T, full_matrices=False)
-    return PartialIsometry(domain_basis=u_a[:, :rank], image_basis=p @ qh, rank=rank)
+    return PartialIsometry(domain_basis=u_a[:, :rank], image_basis=p @ qh)
 
 
 def _orthonormal_complement(basis: np.ndarray, dim: int) -> np.ndarray:
@@ -293,8 +292,8 @@ def _orthonormal_complement(basis: np.ndarray, dim: int) -> np.ndarray:
     return u[:, : dim - k]
 
 
-def unitary_extension(v: PartialIsometry, dim: int) -> np.ndarray:
-    """Extend a partial isometry on C^dim to a unitary matrix.
+def unitary_extension(v: PartialIsometry) -> np.ndarray:
+    """Extend a partial isometry on C^dim, dim = ``v.dim_domain``, to a unitary matrix.
 
     The orthogonal complements of the domain and image spans are matched up
     in the deterministic order the SVD produces, so the result is a function
@@ -303,17 +302,12 @@ def unitary_extension(v: PartialIsometry, dim: int) -> np.ndarray:
 
     Raises
     ------
-    DimensionTooSmall
-        If ``dim`` is smaller than the rank of ``v``.
     ShapeMismatch
-        If the bases of ``v`` do not live in C^dim.
+        If the image basis of ``v`` does not live in C^dim too.
     """
-    if dim < v.rank:
-        raise DimensionTooSmall(f"rank {v.rank} does not fit in dimension {dim}")
-    if v.dim_domain != dim or v.dim_image != dim:
-        raise ShapeMismatch(
-            f"isometry lives in C^{v.dim_domain} -> C^{v.dim_image}, expected C^{dim}"
-        )
+    dim = v.dim_domain
+    if v.image_basis.shape[0] != dim:
+        raise ShapeMismatch(f"isometry lives in C^{dim} -> C^{v.image_basis.shape[0]}")
     dom_full = np.column_stack([v.domain_basis, _orthonormal_complement(v.domain_basis, dim)])
     img_full = np.column_stack([v.image_basis, _orthonormal_complement(v.image_basis, dim)])
     return img_full @ dom_full.conj().T

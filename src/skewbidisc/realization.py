@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import linalg
-from .colligation import Check, Colligation, ROperator, Resolvent, ValidationReport
+from .colligation import Check, Colligation, Resolvent, ValidationReport
 from .colligation import s_UR  # noqa: F401  bench/test_bench.py rebinds realization.s_UR
 from .domains import point_stack, sample_rG
 from .errors import InsufficientSamples, InvalidParams, NotInvertible, ShapeMismatch
@@ -36,18 +36,15 @@ ScalarEvaluator = Callable[[Sequence[complex]], complex]
 
 
 @dataclass(eq=False, frozen=True)
-class GrModel:
-    """A function on r.G presented through a model map into C^dim.
+class GrModel(Resolvent):
+    """A function on r.G presented through a model map into C^dim, dim the size of U.
 
     At an (N, 2) stack of points of r.G, ``u_eval`` gives the (N, dim) model
     vectors as rows and ``f_eval`` the (N,) values.  The two must jointly satisfy
-    the model identity for the fraction built from (U, R); nothing is checked at
-    construction, :func:`realization_from_model` verifies before it builds.
+    the model identity for the fraction built from (U, R); construction checks
+    only that U matches R, :func:`realization_from_model` verifies before it builds.
     """
 
-    dim: int
-    U: np.ndarray
-    R: ROperator
     u_eval: Evaluator
     f_eval: ScalarEvaluator
 
@@ -133,9 +130,8 @@ def model_families(m: GrModel, pts) -> tuple[np.ndarray, np.ndarray]:
 
     Raises ShapeMismatch on values of the wrong shape or non-finite values.
     """
-    stack, _ = point_stack(pts, m.R.r)
-    res = Resolvent(m.U, m.R)
-    den = res.factors(stack)
+    stack, _ = point_stack(pts, m.r)
+    den = m.factors(stack)
     n = len(stack)
     u = np.asarray(m.u_eval(stack), dtype=complex)
     f = np.asarray(m.f_eval(stack), dtype=complex)
@@ -145,7 +141,7 @@ def model_families(m: GrModel, pts) -> tuple[np.ndarray, np.ndarray]:
             f"model maps gave u {u.shape} and f {f.shape} at {n} points, or non-finite values"
         )
     z = np.linalg.solve(den, u[:, :, None])[:, :, 0]  # N z = s_{U,R} u
-    su = 2.0 * stack[:, 1:] * ((z @ res.U.T) / np.diag(m.R.matrix)) - stack[:, :1] * z
+    su = 2.0 * stack[:, 1:] * ((z @ m.U.T) / np.diag(m.R.matrix)) - stack[:, :1] * z
     return np.vstack([np.ones((1, n)), su.T]), np.vstack([f[None, :], u.T])
 
 
@@ -175,5 +171,5 @@ def realization_from_model(m: GrModel, sample_pts, tol: float = 1e-10) -> Collig
         raise InsufficientSamples(
             f"sampled span rank {isom.rank} equals the sample count; add points"
         )
-    big_l = linalg.unitary_extension(isom, 1 + m.dim)
-    return Colligation.from_l_matrix(big_l, m.R.r, m.R.split, m.U)
+    big_l = linalg.unitary_extension(isom)
+    return Colligation.from_l_matrix(big_l, m.r, m.R.split, m.U)

@@ -30,7 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from . import linalg
-from .colligation import Check, ROperator, SubspaceSplit, build_R
+from .colligation import Check, Resolvent, SubspaceSplit, build_R
 from .domains import (
     Point2,
     _as_stack,
@@ -196,12 +196,9 @@ def _spec_precheck(spec: BidiscModelSpec, lam) -> tuple[float, float]:
 
 
 @dataclass(eq=False, frozen=True)
-class SynthesizedModel:
+class SynthesizedModel(Resolvent):
     """The (U, R) pair produced from a spec, plus construction diagnostics."""
 
-    dim: int
-    U: np.ndarray
-    R: ROperator
     spec: BidiscModelSpec
     residual_report: dict
 
@@ -245,7 +242,7 @@ def synthesize(
     a_mat = r_op.inv_matrix @ (pts[:, :1] * v_here - spec.r * pts[:, 1:] * v_sig).T
     b_mat = (v_here - v_sig).T
     isom = linalg.isometry_from_gramians(a_mat, b_mat, tol)
-    u = linalg.unitary_extension(isom, spec.dim)
+    u = linalg.unitary_extension(isom)
     report = {
         "gramian_residual": linalg.gram_gap(a_mat, b_mat),
         "isometry_residual": float(np.max(np.linalg.norm(u @ a_mat - b_mat, axis=0))),
@@ -255,16 +252,15 @@ def synthesize(
         "rank": isom.rank,
         "sample_count": len(pts),
     }
-    return SynthesizedModel(dim=spec.dim, U=u, R=r_op, spec=spec, residual_report=report)
+    return SynthesizedModel(U=u, R=r_op, spec=spec, residual_report=report)
 
 
 def _w(m: SynthesizedModel, lam: np.ndarray) -> np.ndarray:
     """w at each point of a checked rD x D stack, as rows: one batched solve per block."""
     v = _v(m.spec, lam)
-    urinv = m.U @ m.R.inv_matrix
     w = np.empty_like(v)
     for b in linalg.blocks(len(lam), m.dim):
-        mats = np.eye(m.dim) - (m.spec.r * lam[b, 1])[:, None, None] * urinv
+        mats = np.eye(m.dim) - (m.spec.r * lam[b, 1])[:, None, None] * m.urinv
         try:
             w[b] = np.linalg.solve(mats, v[b, :, None])[:, :, 0]
         except np.linalg.LinAlgError as exc:  # ||r l2 U R^{-1}|| = |l2| < 1 in-domain
@@ -297,7 +293,7 @@ def eval_u_model(m: SynthesizedModel, s) -> np.ndarray:
     """u(s) = (1/sqrt 2)(2 - s1 U R^{-1}) x(s) on r.G."""
     pts, one = point_stack(s, m.spec.r)
     x = _w(m, _preimages(pts, m.spec.r))
-    u = (2.0 * x - pts[:, :1] * (x @ (m.U @ m.R.inv_matrix).T)) / SQRT2
+    u = (2.0 * x - pts[:, :1] * (x @ m.urinv.T)) / SQRT2
     return u[0] if one else u
 
 
@@ -320,7 +316,7 @@ def kernel_checks(m: SynthesizedModel, lam) -> list[Check]:
     lam, _ = point_stack(lam, r, "rD x D")
     w = _w(m, lam)
     rinv = m.R.inv_matrix
-    urinv_w = w @ (m.U @ rinv).T
+    urinv_w = w @ m.urinv.T
     l1, rl2 = lam[:, :1], r * lam[:, 1:]
     a, b = w - rl2 * urinv_w, w - l1 * urinv_w
     a_fam = np.column_stack([np.ones(len(lam)), l1 * (a @ rinv.T), rl2 * (b @ rinv.T)])
@@ -335,7 +331,6 @@ def kernel_checks(m: SynthesizedModel, lam) -> list[Check]:
 def wrap_as_GrModel(m: SynthesizedModel) -> GrModel:
     """Package the synthesized model for :func:`realization_from_model`."""
     return GrModel(
-        dim=m.dim,
         U=m.U,
         R=m.R,
         u_eval=lambda s: eval_u_model(m, s),

@@ -1,8 +1,12 @@
 import ast
+import dataclasses
+import importlib
 import inspect
+import pkgutil
 from pathlib import Path
 
 import skewbidisc
+from skewbidisc.colligation import Resolvent
 
 
 PACKAGE = Path(skewbidisc.__file__).parent
@@ -93,3 +97,23 @@ def test_every_module_uses_what_it_imports():
                 if name not in used and "# noqa: F401" not in lines[alias.lineno - 1]:
                     unused.append(f"{path.name}:{alias.lineno} {name}")
     assert unused == []
+
+
+def _package_dataclasses():
+    """Every dataclass defined in a package module."""
+    for info in pkgutil.iter_modules(skewbidisc.__path__):
+        module = importlib.import_module(f"skewbidisc.{info.name}")
+        for _, cls in inspect.getmembers(module, dataclasses.is_dataclass):
+            if inspect.isclass(cls) and cls.__module__ == module.__name__:
+                yield cls
+
+
+def test_every_U_R_pair_is_a_resolvent_and_no_dim_is_a_field():
+    # dim is read off U or the split; PolyVectorMap keeps its own, as the zero
+    # polynomial has no coefficient to read it from.
+    fields = {cls: {f.name for f in dataclasses.fields(cls)} for cls in _package_dataclasses()}
+    names = {c.__name__ for c in fields}
+    assert {"Resolvent", "KernelContext", "GrModel", "SynthesizedModel"} <= names
+    pairs = [c for c, names in fields.items() if {"U", "R"} <= names]
+    assert [c.__name__ for c in pairs if not issubclass(c, Resolvent)] == []
+    assert [c.__name__ for c, names in fields.items() if "dim" in names] == ["PolyVectorMap"]

@@ -204,7 +204,6 @@ def test_exit_code_2_on_parse_error(capsys, tmp_path):
 
 def test_exit_code_2_on_config_errors(capsys, colligation_file):
     assert run(["catalog", "--name", "no-such-entry"]) == 2
-    assert run(["certify", "--input", str(colligation_file), "--r", "1.5"]) == 2
     assert run(["kernel-check", "--dims", "2"]) == 2
     assert run(["validate"]) == 2  # missing --input
     assert run(["sample", "--seed", "-1"]) == 2
@@ -250,6 +249,7 @@ def test_commands_refuse_flags_they_do_not_read(capsys, colligation_file):
     for argv in (
         ["validate", "--input", str(colligation_file), "--samples", "5"],
         ["synthesize", "--input", str(colligation_file), "--r", "0.5"],
+        ["certify", "--input", str(colligation_file), "--r", "1.5"],
         ["sample", "--tol", "1e-3"],
         ["catalog", "--name", "magic", "--dims", "1,1"],
     ):

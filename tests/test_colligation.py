@@ -48,12 +48,13 @@ def test_build_R_frozen():
     np.testing.assert_allclose(R.matrix, np.diag([1.0, 0.5, 0.5]))
     np.testing.assert_allclose(R.inv_matrix, np.diag([1.0, 2.0, 2.0]))
     assert R.inv_matrix is R.inv_matrix and not R.inv_matrix.flags.writeable
+    assert R.matrix is R.matrix and not R.matrix.flags.writeable  # inv_matrix cannot go stale
 
 
 def test_build_R_rejects_bad_input():
     with pytest.raises(InvalidParams):
         build_R(SubspaceSplit(1, 0), 0.5)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidParams):
         build_R(SubspaceSplit(1, 1), 1.0)
 
 

@@ -149,7 +149,7 @@ def test_sample_rG_membership_and_determinism():
 
 
 def test_sample_rG_validates_r():
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidParams):
         domains.sample_rG(5, 1.5, seed=0)
 
 

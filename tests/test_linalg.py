@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from skewbidisc import linalg
 from skewbidisc.errors import (
-    DimensionTooSmall,
     GramianMismatch,
     ShapeMismatch,
     SingularMatrix,
@@ -332,6 +331,14 @@ def test_isometry_empty_families():
     assert isom.dim_domain == 3
 
 
+def test_isometry_rank_is_the_width_of_its_bases():
+    a_mat, b_mat = _pipeline_families(n=7, seed=21)
+    isom = linalg.isometry_from_gramians(a_mat, b_mat, tol=1e-10)
+    assert isom.rank == isom.domain_basis.shape[1] == isom.image_basis.shape[1] == 1
+    half = linalg.PartialIsometry(np.eye(3, 2, dtype=complex), np.eye(3, 2, dtype=complex))
+    assert half.rank == 2
+
+
 def test_isometry_zero_families_have_rank_zero():
     zeros = np.zeros((3, 4), dtype=complex)
     isom = linalg.isometry_from_gramians(zeros, zeros, tol=1e-10)
@@ -349,14 +356,14 @@ def test_unitary_extension_swaps_basis_vectors():
     e1 = np.array([[1.0], [0.0]], dtype=complex)
     e2 = np.array([[0.0], [1.0]], dtype=complex)
     isom = linalg.isometry_from_gramians(e1, e2, tol=1e-12)
-    w = linalg.unitary_extension(isom, 2)
+    w = linalg.unitary_extension(isom)
     np.testing.assert_allclose(w, np.array([[0.0, 1.0], [1.0, 0.0]]), atol=1e-14)
 
 
 def test_unitary_extension_agrees_and_is_unitary():
     a_mat, b_mat = _pipeline_families(n=7, seed=21)
     isom = linalg.isometry_from_gramians(a_mat, b_mat, tol=1e-10)
-    w = linalg.unitary_extension(isom, 2)
+    w = linalg.unitary_extension(isom)
     assert linalg.is_unitary(w, tol=1e-10)
     assert np.max(np.abs(w @ a_mat - b_mat)) < 1e-10
 
@@ -364,27 +371,16 @@ def test_unitary_extension_agrees_and_is_unitary():
 def test_unitary_extension_of_empty_is_identity():
     empty = np.zeros((3, 0), dtype=complex)
     isom = linalg.isometry_from_gramians(empty, empty, tol=1e-10)
-    np.testing.assert_array_equal(linalg.unitary_extension(isom, 3), np.eye(3))
-
-
-def test_unitary_extension_dimension_too_small():
-    isom = linalg.PartialIsometry(
-        domain_basis=np.eye(2, dtype=complex),
-        image_basis=np.eye(2, dtype=complex),
-        rank=2,
-    )
-    with pytest.raises(DimensionTooSmall):
-        linalg.unitary_extension(isom, 1)
+    np.testing.assert_array_equal(linalg.unitary_extension(isom), np.eye(3))
 
 
 def test_unitary_extension_rejects_wrong_ambient():
     isom = linalg.PartialIsometry(
         domain_basis=np.eye(2, dtype=complex),
-        image_basis=np.eye(2, dtype=complex),
-        rank=2,
+        image_basis=np.eye(3, 2, dtype=complex),
     )
     with pytest.raises(ShapeMismatch):
-        linalg.unitary_extension(isom, 3)
+        linalg.unitary_extension(isom)
 
 
 def test_non_finite_input_rejected():

@@ -9,6 +9,7 @@ from skewbidisc.catalog import magic_params, rank_one_build, upsilon_params
 from skewbidisc.colligation import (
     Colligation,
     SubspaceSplit,
+    build_R,
     random_colligation,
     s_UR,
     validate_colligation,
@@ -352,13 +353,7 @@ def test_schur_certify_fails_for_inflated_constant():
 
 
 def _model_from(c: Colligation) -> GrModel:
-    return GrModel(
-        dim=c.dim,
-        U=c.U,
-        R=c.R,
-        u_eval=lambda s: eval_u(c, s),
-        f_eval=lambda s: eval_f(c, s),
-    )
+    return GrModel(U=c.U, R=c.R, u_eval=lambda s: eval_u(c, s), f_eval=lambda s: eval_f(c, s))
 
 
 @pytest.mark.parametrize("k", [1, 3, 6])
@@ -376,6 +371,16 @@ def test_stacked_eval_u_and_eval_f_match_one_point_formulas(k, r, monkeypatch):
         assert np.max(np.abs(f - f_ref[:n]), initial=0.0) <= DIFF_TOL
     s = tuple(pts[0].tolist())
     assert eval_u(c, s).shape == (c.dim,) and type(eval_f(c, s)) is complex
+
+
+def test_gr_model_reads_dim_off_U_and_refuses_a_U_that_does_not_match_R():
+    # A model of dimension 3 with the R of dimension 4: refused when it is built,
+    # not later as a model map of the wrong shape.
+    c = random_colligation(SubspaceSplit(1, 2), R_DEFAULT, seed=3)
+    model = _model_from(c)
+    assert model.dim == c.U.shape[0] == 3 and model.r == c.r
+    with pytest.raises(ShapeMismatch, match="U has shape"):
+        replace(model, R=build_R(SubspaceSplit(2, 2), R_DEFAULT))
 
 
 def test_model_families_refuses_bad_model_values():
@@ -405,7 +410,6 @@ def test_realization_roundtrip():
 def test_realization_rejects_broken_model():
     c = random_colligation(SubspaceSplit(1, 1), R_DEFAULT, seed=12)
     broken = GrModel(
-        dim=c.dim,
         U=c.U,
         R=c.R,
         u_eval=lambda s: eval_u(c, s),

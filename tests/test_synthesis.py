@@ -356,7 +356,7 @@ def test_model_families_match_model_residual_loop(seed, shift, tmp_path, capsys)
     c = replace(c, a=c.a + shift)  # a nonzero shift breaks the model identity
     pts = domains.sample_rG(12, R, seed=seed + 1)
     ref = max(model_residual(c, s, t) for s in pts for t in pts)
-    model = GrModel(c.dim, c.U, c.R, lambda s: eval_u(c, s), lambda s: eval_f(c, s))
+    model = GrModel(c.U, c.R, lambda s: eval_u(c, s), lambda s: eval_f(c, s))
     assert abs(linalg.gram_gap(*model_families(model, pts)) - ref) <= DIFF_TOL
     if shift:
         assert ref > 1e-3
@@ -502,9 +502,7 @@ def test_stacked_model_maps_match_one_point_formulas(k, r, monkeypatch):
 def test_eval_w_names_the_point_where_the_resolvent_is_singular(lambda12_spec):
     # U R^{-1} = 4: the resolvent 1 - r l2 U R^{-1} vanishes where r l2 = 1/4.
     r_op = build_R(SubspaceSplit(1, 1), R)
-    model = SynthesizedModel(
-        dim=2, U=4.0 * r_op.matrix, R=r_op, spec=lambda12_spec(), residual_report={}
-    )
+    model = SynthesizedModel(U=4.0 * r_op.matrix, R=r_op, spec=lambda12_spec(), residual_report={})
     bad = (0.2 + 0j, 0.5 + 0j)
     with pytest.raises(NotInvertible, match=re.escape(f"at {bad}")):
         eval_w(model, [(0.1, 0.2), bad, (0.1, 0.5)])
@@ -536,3 +534,15 @@ def test_model_map_calls_do_not_grow_with_the_sample_count(monkeypatch):
         model_f_eval(model, domains.sample_rG(n, spec.r, 3))
         counts.append(len(calls))
     assert counts[0] == counts[1] > 0
+
+
+def test_synthesized_model_is_a_resolvent_of_its_own_size():
+    spec = _power_spec(3)
+    model = synthesize(spec, synthesis_sample_points(4 * spec.dim + 4, spec.r))
+    assert model.dim == model.U.shape[0] == spec.dim and model.r == spec.r
+    assert not model.urinv.flags.writeable
+    assert model.urinv.tobytes() == (model.U @ model.R.inv_matrix).tobytes()
+    gr = wrap_as_GrModel(model)
+    assert gr.dim == model.dim and gr.urinv.tobytes() == model.urinv.tobytes()
+    with pytest.raises(ShapeMismatch, match="U has shape"):
+        replace(model, R=build_R(SubspaceSplit(1, 1), spec.r))
