@@ -66,10 +66,15 @@ class SubspaceSplit:
 
 @dataclass(eq=False, frozen=True)
 class ROperator:
-    """The diagonal diag(1_{d1}, r 1_{d2}) and its exact inverse, both read-only."""
+    """diag(1_{d1}, r 1_{d2}) and its exact inverse, both read-only, for d1, d2 >= 1 and 0 < r < 1."""
 
     split: SubspaceSplit
     r: float
+
+    def __post_init__(self):
+        if not self.split.proper:
+            raise InvalidParams(f"split ({self.split.d1}, {self.split.d2}) must have both parts >= 1")
+        object.__setattr__(self, "r", check_r(self.r))
 
     @cached_property
     def matrix(self) -> np.ndarray:
@@ -85,11 +90,7 @@ class ROperator:
         return inv
 
 
-def build_R(split: SubspaceSplit, r: float) -> ROperator:
-    """Assemble the R operator for a proper split and valid r."""
-    if not split.proper:
-        raise InvalidParams(f"split ({split.d1}, {split.d2}) must have both parts >= 1")
-    return ROperator(split=split, r=check_r(r))
+build_R = ROperator  # the name the package's callers and the acceptance tests use
 
 
 @dataclass(eq=False, frozen=True)
@@ -168,11 +169,11 @@ class Resolvent:
 class Colligation:
     """A realization datum (a, beta, gamma, D) on C (+) C^{d1+d2} plus U and r.
 
-    Construction checks shapes and finiteness only.  Whether the block
-    matrix is actually unitary is a question for :func:`validate_colligation`,
-    which reports rather than raises, so that defective inputs can be
-    examined.  The fields are frozen, so the cached R always matches r; a
-    variant is made with ``dataclasses.replace``.
+    Construction checks shapes and finiteness only, and keeps read-only copies
+    of beta, gamma, D and U.  Whether the block matrix is actually unitary is a
+    question for :func:`validate_colligation`, which reports rather than raises,
+    so that defective inputs can be examined.  The fields are frozen, so the
+    cached R always matches r; a variant is made with ``dataclasses.replace``.
     """
 
     r: float
@@ -186,17 +187,14 @@ class Colligation:
     def __post_init__(self):
         object.__setattr__(self, "r", check_r(self.r))
         object.__setattr__(self, "a", complex(self.a))
-        object.__setattr__(self, "beta", linalg.as_vector(self.beta, "beta"))
-        object.__setattr__(self, "gamma", linalg.as_vector(self.gamma, "gamma"))
-        object.__setattr__(self, "D", linalg.as_square(self.D, "D"))
-        object.__setattr__(self, "U", linalg.as_square(self.U, "U"))
+        for name, coerce in [("beta", linalg.as_vector), ("gamma", linalg.as_vector),
+                             ("D", linalg.as_square), ("U", linalg.as_square)]:
+            block = coerce(getattr(self, name), name).copy()
+            block.flags.writeable = False  # a later write cannot change a checked colligation
+            object.__setattr__(self, name, block)
         n = self.split.total
-        if not (
-            self.beta.shape[0] == n
-            and self.gamma.shape[0] == n
-            and self.D.shape == (n, n)
-            and self.U.shape == (n, n)
-        ):
+        shapes = self.beta.shape, self.gamma.shape, self.D.shape, self.U.shape
+        if shapes != ((n,), (n,), (n, n), (n, n)):
             raise ShapeMismatch(
                 f"blocks do not all live on C^{n}: beta {self.beta.shape}, "
                 f"gamma {self.gamma.shape}, D {self.D.shape}, U {self.U.shape}"
@@ -223,8 +221,7 @@ class Colligation:
     @classmethod
     def from_l_matrix(cls, L: np.ndarray, r: float, split: SubspaceSplit, U) -> Colligation:
         """The colligation whose :meth:`l_matrix` is L, with the given r, split and U."""
-        return cls(r=r, split=split, a=L[0, 0], beta=L[0, 1:].conj().copy(),
-                   gamma=L[1:, 0].copy(), D=L[1:, 1:].copy(), U=U)
+        return cls(r=r, split=split, a=L[0, 0], beta=L[0, 1:].conj(), gamma=L[1:, 0], D=L[1:, 1:], U=U)
 
 
 def random_colligation(split: SubspaceSplit, r: float, seed: int) -> Colligation:

@@ -11,20 +11,19 @@ the second on (r.G)^2,
             + (conj(t1) s2 R^{-2} - s1) U R^{-1}
             + R^{-1}U* (conj(t2) s1 R^{-2} - conj(t1)).
 
-Substituting s = (l1 + r l2, r l1 l2) and t likewise from m turns Z into Y
-exactly; and Y factors through the fundamental fraction:
+Substituting s = (l1 + r l2, r l1 l2) and t likewise from m turns Z into Y, and Y
+factors through the fundamental fraction,
 
-    Y(s, t) = (1/2) (2 - t1 U R^{-1})* (1 - t_{U,R}* s_{U,R}) (2 - s1 U R^{-1}).
+    Y(s, t) = (1/2) (2 - t1 U R^{-1})* (1 - t_{U,R}* s_{U,R}) (2 - s1 U R^{-1}),
 
-Both identities are exercised by :func:`substitution_residual` and
-:func:`factorization_residual`, and the Hermitian symmetry Y(s, t)* = Y(t, s)
-by :func:`hermitian_symmetry_residual`; each is the spectral norm of one
-defect, written once in a private core.  Like ``s_UR``, the kernels and the
-residuals take one pair of points, giving an (n, n) matrix or a float, or two
-(N, 2) stacks, giving the (N, n, n) or (N,) stack of values.
-:func:`residual_maxima` gives only the largest value of each residual, the
-same floats, with Y evaluated once per block for the two checks on r.G and
-most spectral norms settled by the screen of ``linalg.largest_spectral_norm``.
+both only up to E_U = R^{-1}(1 - U*U)R^{-1}, which vanishes for a unitary U: the
+gaps are -(conj(m1) l1 + r^2 conj(m2) l2) E_U and (1/2) conj(t1) s1 E_U.
+:func:`substitution_residual` and :func:`factorization_residual` measure them,
+one pair of points giving a float and two (N, 2) stacks the (N,) values, as the
+kernels give an (n, n) matrix or the (N, n, n) stack.  :func:`residual_maxima`
+gives only the largest of each, the same floats, with most spectral norms settled
+by the screen of ``linalg.largest_spectral_norm``, and one bound on the Hermitian
+defect Y(s, t)* - Y(t, s) over all of r.G, read off the basis below.
 
 Multiplied out, both kernels are combinations of the same eight constant
 matrices I, A, D, B, AD, AB, DB, ADB, where A = R^{-1}U*, D = R^{-2} and
@@ -195,8 +194,8 @@ def _substitution_defect(ctx: KernelContext, lam: np.ndarray, mu: np.ndarray) ->
     return _z(ctx, lam, mu) - _y(ctx, _pi_t_r(lam, ctx.r), _pi_t_r(mu, ctx.r))
 
 
-def _factorization_defect(ctx: KernelContext, s, t, y: np.ndarray) -> np.ndarray:
-    """Y(s, t), given as ``y``, minus (1/2) a_t* (1 - F_t* F_s) a_s, with a = 2 - s1 U R^{-1}, F = s_UR.
+def _factorization_defect(ctx: KernelContext, s, t) -> np.ndarray:
+    """Y(s, t) minus (1/2) a_t* (1 - F_t* F_s) a_s, with a = 2 - s1 U R^{-1}, F = s_UR.
 
     F comes from the context's :meth:`KernelContext.fractions`, as the points are already checked.
     """
@@ -205,12 +204,16 @@ def _factorization_defect(ctx: KernelContext, s, t, y: np.ndarray) -> np.ndarray
     a_t = 2.0 * eye - t[:, 0, None, None] * ctx.urinv
     frac_s, frac_t = ctx.fractions(s), ctx.fractions(t)
     rhs = 0.5 * a_t.conj().swapaxes(1, 2) @ (eye - frac_t.conj().swapaxes(1, 2) @ frac_s) @ a_s
-    return y - rhs
+    return _y(ctx, s, t) - rhs
 
 
-def _hermitian_defect(ctx: KernelContext, s, t, y: np.ndarray) -> np.ndarray:
-    """Y(s, t)*, with Y(s, t) given as ``y``, minus Y(t, s)."""
-    return y.conj().swapaxes(1, 2) - _y(ctx, t, s)
+def _hermitian_bound(ctx: KernelContext) -> float:
+    """Bound on ||Y(s, t)* - Y(t, s)|| over r.G (|s1| < 2r, |s2| < r^2): with d_A = A* - B,
+    d_AD = (AD)* - DB and d_ADB = (ADB)* - ADB, Y(s, t)* - Y(t, s) is exactly
+    -t1 d_A + conj(s1) d_A* + t2 conj(s1) d_AD - t1 conj(s2) d_AD* - 2 t2 conj(s2) d_ADB."""
+    basis = ctx.basis.reshape(8, ctx.dim, ctx.dim)  # rows I, A, D, B, AD, AB, DB, ADB
+    d_a, d_ad, d_adb = linalg.spectral_norm(basis[[1, 4, 7]].conj().swapaxes(1, 2) - basis[[3, 6, 7]])
+    return float(4.0 * ctx.r * d_a + 4.0 * ctx.r**3 * d_ad + 2.0 * ctx.r**4 * d_adb)
 
 
 @_on_pairs("rD x D")
@@ -222,36 +225,24 @@ def substitution_residual(ctx: KernelContext, lam, mu):
 @_on_pairs("r.G")
 def factorization_residual(ctx: KernelContext, s, t):
     """Defect of the factorization of Y through the fundamental fraction."""
-    return linalg.spectral_norm(_factorization_defect(ctx, s, t, _y(ctx, s, t)))
-
-
-@_on_pairs("r.G")
-def hermitian_symmetry_residual(ctx: KernelContext, s, t):
-    """Defect of Y(s, t)* = Y(t, s), a consequence of the factorization."""
-    return linalg.spectral_norm(_hermitian_defect(ctx, s, t, _y(ctx, s, t)))
+    return linalg.spectral_norm(_factorization_defect(ctx, s, t))
 
 
 def residual_maxima(ctx: KernelContext, s, t, lam, mu) -> dict[str, float]:
-    """The largest factorization and Hermitian-symmetry residual over the pairs (s, t) of r.G
-    and the largest substitution residual over the pairs (lam, mu) of rD x D, 0.0 for none.
+    """The largest factorization residual over the pairs (s, t) of r.G and substitution
+    residual over the pairs (lam, mu) of rD x D, 0.0 for none, and :func:`_hermitian_bound`.
 
-    Each equals, bit for bit, the max of the public residual's values on the same pairs.
-    Every stack is checked once, Y(s, t) is evaluated once per block for both checks that
-    use it, and :func:`linalg.largest_spectral_norm` takes each block's defects with the
-    running maximum as its floor, so only the few defects that can still be the maximum
-    get an eigenvalue computed.
+    Each maximum equals, bit for bit, the max of the public residual's values on the same
+    pairs.  Every stack is checked once, and :func:`linalg.largest_spectral_norm` takes each
+    block's defects with the running maximum as its floor, so only the few defects that can
+    still be the maximum get an eigenvalue computed.
     """
     s, t, _ = _pair_stacks(ctx, s, t, "r.G")
     lam, mu, _ = _pair_stacks(ctx, lam, mu, "rD x D")
-    worst = dict.fromkeys(("factorization", "substitution", "hermitian_symmetry"), 0.0)
-
-    def raise_to(name, defects):
-        worst[name] = linalg.largest_spectral_norm(defects, worst[name])
-
-    for b in linalg.blocks(len(s), ctx.dim):
-        y = _y(ctx, s[b], t[b])
-        raise_to("factorization", _factorization_defect(ctx, s[b], t[b], y))
-        raise_to("hermitian_symmetry", _hermitian_defect(ctx, s[b], t[b], y))
-    for b in linalg.blocks(len(lam), ctx.dim):
-        raise_to("substitution", _substitution_defect(ctx, lam[b], mu[b]))
-    return worst
+    checks = {"factorization": (_factorization_defect, s, t),
+              "substitution": (_substitution_defect, lam, mu)}
+    worst = dict.fromkeys(checks, 0.0)
+    for name, (defect, p, q) in checks.items():
+        for b in linalg.blocks(len(p), ctx.dim):
+            worst[name] = linalg.largest_spectral_norm(defect(ctx, p[b], q[b]), worst[name])
+    return worst | {"hermitian_symmetry": _hermitian_bound(ctx)}

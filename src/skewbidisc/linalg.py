@@ -199,12 +199,16 @@ def haar_unitary(dim: int, rng) -> np.ndarray:
 class PartialIsometry:
     """A linear map defined on a subspace, isometric there, zero on its complement.
 
-    ``domain_basis`` and ``image_basis`` hold orthonormal columns; the map
-    sends the i-th domain basis vector to the i-th image basis vector.
+    ``domain_basis`` and ``image_basis`` hold orthonormal columns, as many in each;
+    the map sends the i-th domain basis vector to the i-th image basis vector.
     """
 
     domain_basis: np.ndarray
     image_basis: np.ndarray
+
+    def __post_init__(self):
+        if self.rank != self.image_basis.shape[1]:
+            raise ShapeMismatch(f"bases of {self.rank} and {self.image_basis.shape[1]} vectors")
 
     @property
     def rank(self) -> int:

@@ -3,6 +3,7 @@ import dataclasses
 import importlib
 import inspect
 import pkgutil
+import re
 from pathlib import Path
 
 import skewbidisc
@@ -117,3 +118,29 @@ def test_every_U_R_pair_is_a_resolvent_and_no_dim_is_a_field():
     pairs = [c for c, names in fields.items() if {"U", "R"} <= names]
     assert [c.__name__ for c in pairs if not issubclass(c, Resolvent)] == []
     assert [c.__name__ for c, names in fields.items() if "dim" in names] == ["PolyVectorMap"]
+
+
+def _names_read(path: Path) -> set[str]:
+    """Every name a Python file reads, as a bare name or as an attribute."""
+    nodes = list(ast.walk(ast.parse(path.read_text())))
+    return {n.id for n in nodes if isinstance(n, ast.Name)} | {n.attr for n in nodes if isinstance(n, ast.Attribute)}
+
+
+def test_every_public_function_is_used_or_documented():
+    # A public top-level function that no package module or test reads, and that the
+    # README does not name, is a dead helper.  The package's __init__ only re-exports.
+    tests = Path(__file__).resolve().parent
+    readme = (tests.parent / "README.md").read_text()
+    read = set()
+    for path in [*PACKAGE.glob("*.py"), *tests.glob("*.py")]:
+        if path.name != "__init__.py":
+            read |= _names_read(path)
+    public = [
+        (path.name, node.name)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+    ]
+    assert len(public) > 50
+    dead = [(f, name) for f, name in public if name not in read and not re.search(rf"\b{name}\b", readme)]
+    assert dead == []

@@ -9,6 +9,7 @@ from skewbidisc.colligation import (
     Check,
     Colligation,
     Resolvent,
+    ROperator,
     SubspaceSplit,
     ValidationReport,
     build_R,
@@ -27,7 +28,7 @@ from skewbidisc.errors import (
     SingularMatrix,
 )
 from skewbidisc.linalg import haar_unitary, spectral_norm
-from skewbidisc.realization import schur_certify
+from skewbidisc.realization import eval_f, schur_certify
 
 DIFF_TOL = 1e-13
 
@@ -56,6 +57,14 @@ def test_build_R_rejects_bad_input():
         build_R(SubspaceSplit(1, 0), 0.5)
     with pytest.raises(InvalidParams):
         build_R(SubspaceSplit(1, 1), 1.0)
+    # A directly built ROperator is checked the same way.
+    for split, r in [(SubspaceSplit(1, 0), 0.5), (SubspaceSplit(0, 2), 0.5), (SubspaceSplit(1, 1), 1.5),
+                     (SubspaceSplit(1, 1), 0.0), (SubspaceSplit(1, 1), float("nan"))]:
+        with pytest.raises(InvalidParams):
+            ROperator(split, r)
+        with pytest.raises(InvalidParams):
+            ROperator(split=split, r=r)
+    assert build_R is ROperator
 
 
 def test_s_UR_frozen_diagonal_example():
@@ -411,6 +420,22 @@ def test_colligation_is_frozen_and_replace_rebuilds_R():
         c.a = 0.0
     assert c.r == c.R.r == 0.5
     assert replace(c, r=0.3).R.r == 0.3
+
+
+def test_colligation_keeps_read_only_copies_of_its_blocks():
+    c = random_colligation(SubspaceSplit(2, 3), 0.5, seed=3)
+    blocks = {name: getattr(c, name).copy() for name in ("beta", "gamma", "D", "U")}
+    copy = Colligation(r=c.r, split=c.split, a=c.a, **blocks)
+    pts = domains.sample_rG(20, c.r, seed=66)
+    before = eval_f(copy, pts)
+    for block in blocks.values():
+        block[0] += 1.0
+    np.testing.assert_array_equal(eval_f(copy, pts), before)
+    assert validate_colligation(copy).passed
+    for name in blocks:
+        assert not getattr(copy, name).flags.writeable
+        with pytest.raises(ValueError):
+            getattr(copy, name)[0] = 0.0
 
 
 def test_l_matrix_layout():

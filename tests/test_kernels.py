@@ -9,7 +9,6 @@ from skewbidisc.errors import InvalidParams, NotInvertible, OutsideDomain, Shape
 from skewbidisc.kernels import (
     KernelContext,
     factorization_residual,
-    hermitian_symmetry_residual,
     kernel_Y,
     kernel_Z,
     _pi_t_r,
@@ -19,6 +18,7 @@ from skewbidisc.kernels import (
 from skewbidisc.linalg import haar_unitary
 
 DIFF_TOL = 1e-13
+EPS = np.finfo(float).eps
 
 
 @pytest.fixture
@@ -127,9 +127,8 @@ def test_factorization_identity(ctx):
 
 def test_hermitian_symmetry(ctx):
     pts = domains.sample_rG(40, ctx.r, seed=8)
-    worst = max(
-        hermitian_symmetry_residual(ctx, s, t) for s, t in zip(pts[:20], pts[20:])
-    )
+    s, t = pts[:20], pts[20:]
+    worst = linalg.spectral_norm(kernel_Y(ctx, s, t).conj().swapaxes(1, 2) - kernel_Y(ctx, t, s)).max()
     assert worst < 1e-13
 
 
@@ -195,8 +194,7 @@ def _residual_references(ctx, s, t, lam, mu):
         - _y_reference(ctx, domains.pi_map(domains.t_r(lam, ctx.r)), domains.pi_map(domains.t_r(mu, ctx.r))),
         2,
     )
-    herm = np.linalg.norm(y.conj().T - _y_reference(ctx, t, s), 2)
-    return fac, sub, herm
+    return fac, sub
 
 
 def _context(dims, r, seed=60, scale=1.0):
@@ -217,39 +215,27 @@ def test_stacked_kernels_match_one_pair_formulas(dims, r, monkeypatch):
     mu = domains.sample_skew_bidisc(n_pairs, r, seed=64)
     ys, zs = kernel_Y(ctx, s, t), kernel_Z(ctx, lam, mu)
     assert ys.shape == zs.shape == (n_pairs, ctx.dim, ctx.dim)
-    stacked = [
-        factorization_residual(ctx, s, t),
-        substitution_residual(ctx, lam, mu),
-        hermitian_symmetry_residual(ctx, s, t),
-    ]
+    stacked = [factorization_residual(ctx, s, t), substitution_residual(ctx, lam, mu)]
     monkeypatch.setattr(linalg, "BLOCK_ENTRIES", 5 * ctx.dim**2)  # blocks of 5 pairs
-    blocked = [
-        factorization_residual(ctx, s, t),
-        substitution_residual(ctx, lam, mu),
-        hermitian_symmetry_residual(ctx, s, t),
-    ]
+    blocked = [factorization_residual(ctx, s, t), substitution_residual(ctx, lam, mu)]
     for k in range(n_pairs):
         y_ref, z_ref = _y_reference(ctx, s[k], t[k]), _z_reference(ctx, lam[k], mu[k])
         assert np.max(np.abs(ys[k] - y_ref)) <= DIFF_TOL
         assert np.max(np.abs(zs[k] - z_ref)) <= DIFF_TOL
         assert np.max(np.abs(kernel_Y(ctx, s[k], t[k]) - y_ref)) <= DIFF_TOL
         assert np.max(np.abs(kernel_Z(ctx, lam[k], mu[k]) - z_ref)) <= DIFF_TOL
-        one_pair = [
-            factorization_residual(ctx, s[k], t[k]),
-            substitution_residual(ctx, lam[k], mu[k]),
-            hermitian_symmetry_residual(ctx, s[k], t[k]),
-        ]
+        one_pair = [factorization_residual(ctx, s[k], t[k]), substitution_residual(ctx, lam[k], mu[k])]
         refs = _residual_references(ctx, s[k], t[k], lam[k], mu[k])
         for ref, one, whole, parts in zip(refs, one_pair, stacked, blocked):
             assert isinstance(one, float)
             assert whole.shape == parts.shape == (n_pairs,)
             assert max(abs(one - ref), abs(whole[k] - ref), abs(parts[k] - ref)) <= DIFF_TOL
-    assert max(refs[:2]) > 1e-3  # the scaled U is visible in the compared residuals
+    assert max(refs) > 1e-3  # the scaled U is visible in the compared residuals
 
 
 def test_stacked_kernels_of_no_pairs(ctx):
     assert kernel_Y(ctx, [], []).shape == kernel_Z(ctx, [], []).shape == (0, 3, 3)
-    for residual in (factorization_residual, substitution_residual, hermitian_symmetry_residual):
+    for residual in (factorization_residual, substitution_residual):
         assert residual(ctx, [], []).shape == (0,)
 
 
@@ -259,7 +245,7 @@ def test_stacked_kernels_name_the_point_outside_the_domain(ctx):
     bad_s = s.copy()
     bad_s[2] = (complex(0.0, 0.9), complex(0.3))
     bad_lam = lam[:2] + [(complex(0.6), complex(0.1))] + lam[3:]
-    for call in (kernel_Y, factorization_residual, hermitian_symmetry_residual):
+    for call in (kernel_Y, factorization_residual):
         with pytest.raises(OutsideDomain, match=r"point \(0\.9j, \(0\.3\+0j\)\) is not in r\.G"):
             call(ctx, s, bad_s)
     for call in (kernel_Z, substitution_residual):
@@ -278,7 +264,7 @@ def test_stacked_kernels_refuse_malformed_stacks(ctx):
         (np.zeros((1, 2, 2)), np.zeros((1, 2, 2))),
     ]
     for p, q in bad_pairs:
-        for call in (kernel_Y, factorization_residual, hermitian_symmetry_residual):
+        for call in (kernel_Y, factorization_residual):
             with pytest.raises(ShapeMismatch):
                 call(ctx, p, q)
     for call in (kernel_Z, substitution_residual):
@@ -344,11 +330,15 @@ def test_stacked_kernels_against_50_digit_oracle(r):
         assert gap(zs[k], z) <= 1e-12
 
 
-PUBLIC_RESIDUALS = {
-    "factorization": factorization_residual,
-    "substitution": substitution_residual,
-    "hermitian_symmetry": hermitian_symmetry_residual,
-}
+PUBLIC_RESIDUALS = {"factorization": factorization_residual, "substitution": substitution_residual}
+
+
+def _hermitian_bound_from_basis(ctx):
+    """4r ||A* - B|| + 4r^3 ||(AD)* - DB|| + 2r^4 ||(ADB)* - ADB||, the bound on
+    ||Y(s, t)* - Y(t, s)|| over r.G, from the rows of the context's basis."""
+    _, a, _, b, ad, _, db, adb = ctx.basis.reshape(8, ctx.dim, ctx.dim)
+    d_a, d_ad, d_adb = (linalg.spectral_norm(m.conj().T - n) for m, n in [(a, b), (ad, db), (adb, adb)])
+    return 4.0 * ctx.r * d_a + 4.0 * ctx.r**3 * d_ad + 2.0 * ctx.r**4 * d_adb
 
 
 def _kernel_check_samples(dims, r, samples, seed):
@@ -374,11 +364,12 @@ def test_kernel_check_reports_the_largest_public_residual(dims, r, seed, capsys)
     argv = ["kernel-check", "--dims", "%d,%d" % dims, "--r", str(r), "--samples", "150", "--seed", str(seed)]
     assert cli.run(argv) == 0
     report = json.loads(capsys.readouterr().out)
-    worst = dict.fromkeys(PUBLIC_RESIDUALS, 0.0)
+    worst = dict.fromkeys([*PUBLIC_RESIDUALS, "hermitian_symmetry"], 0.0)
     for ctx, s, t, lam, mu in _kernel_check_samples(dims, r, 150, seed):
         for name, residual in PUBLIC_RESIDUALS.items():
             p, q = (lam, mu) if name == "substitution" else (s, t)
             worst[name] = max(worst[name], residual(ctx, p, q).max())
+        worst["hermitian_symmetry"] = max(worst["hermitian_symmetry"], _hermitian_bound_from_basis(ctx))
     # Bit for bit: the JSON floats round-trip exactly.
     assert [(name, value) for name, value, _ in report["checks"]] == list(worst.items())
 
@@ -391,23 +382,85 @@ def test_residual_maxima_match_the_public_residuals(dims, r, monkeypatch):
     lam = domains.sample_skew_bidisc(23, r, seed=78)
     mu = domains.sample_skew_bidisc(23, r, seed=79)
     monkeypatch.setattr(linalg, "BLOCK_ENTRIES", 5 * ctx.dim**2)  # blocks of 5 pairs
+    bound = _hermitian_bound_from_basis(ctx)
     expected = {
         "factorization": factorization_residual(ctx, s, t).max(),
         "substitution": substitution_residual(ctx, lam, mu).max(),
-        "hermitian_symmetry": hermitian_symmetry_residual(ctx, s, t).max(),
+        "hermitian_symmetry": bound,
     }
     assert residual_maxima(ctx, s, t, lam, mu) == expected
-    assert residual_maxima(ctx, [], [], [], []) == dict.fromkeys(expected, 0.0)
+    assert residual_maxima(ctx, [], [], [], []) == {"factorization": 0.0, "substitution": 0.0, "hermitian_symmetry": bound}
     with pytest.raises(ShapeMismatch):
         residual_maxima(ctx, s, t[:3], lam, mu)
+
+
+@pytest.mark.parametrize("dims", [(1, 1), (2, 3), (8, 8)])
+@pytest.mark.parametrize("r", [0.01, 0.7, 0.999])
+def test_hermitian_bound_holds_the_closed_form_of_an_injected_asymmetry(dims, r):
+    ctx = _context(dims, r)
+    rng = np.random.Generator(np.random.Philox(98))
+    noise = rng.standard_normal((7, ctx.dim**2)) + 1j * rng.standard_normal((7, ctx.dim**2))
+    object.__setattr__(ctx, "basis", ctx.basis + np.vstack([np.zeros(ctx.dim**2), 1e-3 * noise]))
+    _, a, _, b, ad, _, db, adb = ctx.basis.reshape(8, ctx.dim, ctx.dim)
+    d_a, d_ad, d_adb = a.conj().T - b, ad.conj().T - db, adb.conj().T - adb
+    s, t = domains.sample_rG(100, r, seed=99), domains.sample_rG(100, r, seed=100)
+    y = kernels._y(ctx, s, t)
+    defect = y.conj().swapaxes(1, 2) - kernels._y(ctx, t, s)
+    s1, s2, t1, t2 = (x[:, None, None] for x in (s[:, 0], s[:, 1], t[:, 0], t[:, 1]))
+    closed = (-t1 * d_a + s1.conj() * d_a.conj().T + t2 * s1.conj() * d_ad - t1 * s2.conj() * d_ad.conj().T
+              - 2.0 * t2 * s2.conj() * d_adb)
+    assert np.max(np.abs(defect - closed)) <= 64 * EPS * max(1.0, np.max(np.abs(y)))
+    bound = residual_maxima(ctx, s, t, [], [])["hermitian_symmetry"]
+    assert bound == _hermitian_bound_from_basis(ctx)
+    assert 1e-10 < linalg.spectral_norm(defect).max() <= bound  # the asymmetry fails the check
+
+
+def test_a_broken_y_coefficient_fails_the_factorization_check(monkeypatch, capsys):
+    y = kernels._y
+    # Flip the sign of the s1 B term: -s1 B + 2 s1 B = s1 B.
+    monkeypatch.setattr(kernels, "_y", lambda ctx, s, t: y(ctx, s, t) + 2.0 * s[:, 0, None, None] * ctx.urinv)
+    assert cli.run(["kernel-check", "--dims", "2,3", "--samples", "60"]) == 1
+    checks = {name: value for name, value, _ in json.loads(capsys.readouterr().out)["checks"]}
+    assert checks["factorization"] > 1e-3
+    assert checks["hermitian_symmetry"] <= 1e-10  # the bound reads the basis, not _y
+
+
+def _e_u(ctx):
+    """E_U = R^-1 (1 - U* U) R^-1, which vanishes for a unitary U, and its scale max(1, max |E_U|)."""
+    rinv = ctx.R.inv_matrix
+    e_u = rinv @ (np.eye(ctx.dim) - ctx.U.conj().T @ ctx.U) @ rinv
+    return e_u, max(1.0, np.max(np.abs(e_u)))
+
+
+@pytest.mark.parametrize("dims", [(1, 1), (2, 3), (8, 8)])
+@pytest.mark.parametrize("r", [1e-3, 0.5, 0.999])
+def test_substitution_defect_is_its_closed_form_in_E_U(dims, r):
+    ctx = _context(dims, r, scale=1.05)
+    e_u, scale = _e_u(ctx)
+    lam = np.array(domains.sample_skew_bidisc(40, r, seed=101))
+    mu = np.array(domains.sample_skew_bidisc(40, r, seed=102))
+    coef = -(mu[:, 0].conj() * lam[:, 0] + r * r * mu[:, 1].conj() * lam[:, 1])
+    gap = kernels._substitution_defect(ctx, lam, mu) - coef[:, None, None] * e_u
+    assert np.max(np.abs(gap)) <= 64 * EPS * scale
+
+
+@pytest.mark.parametrize("dims", [(1, 1), (2, 3), (8, 8)])
+@pytest.mark.parametrize("r", [1e-3, 0.5, 0.999])
+def test_factorization_defect_is_its_closed_form_in_E_U(dims, r):
+    ctx = _context(dims, r, scale=1.05)
+    e_u, scale = _e_u(ctx)
+    s, t = domains.sample_rG(40, r, seed=103), domains.sample_rG(40, r, seed=104)
+    gap = kernels._factorization_defect(ctx, s, t) - 0.5 * (t[:, 0].conj() * s[:, 0])[:, None, None] * e_u
+    assert np.max(np.abs(gap)) <= 64 * EPS * scale
 
 
 @pytest.mark.parametrize("seed", range(5))
 def test_kernel_check_computes_few_eigenvalues(seed, eigvalsh_loads, capsys):
     assert cli.run(["kernel-check", "--dims", "8,8", "--samples", "300", "--seed", str(seed)]) == 0
     capsys.readouterr()
-    # 600 factorization and Hermitian defects, 300 substitution defects and 6 unitarity
-    # defects: every one of the 906 had its eigenvalues computed before the screen.
+    # 300 factorization defects, 300 substitution defects and 6 unitarity defects: every
+    # one of the 606 had its eigenvalues computed before the screen.  The 9 norms of the
+    # three Hermitian bounds are computed without a screen.
     assert 6 < sum(eigvalsh_loads) <= 150
 
 
@@ -429,7 +482,7 @@ def test_factorization_defect_is_bitwise_the_one_through_s_UR(dims, r, scale):
     object.__setattr__(ctx, "eigen", None)  # as the gate leaves it: the fractions take the LU path
     s, t = domains.sample_rG(40, r, seed=82), domains.sample_rG(40, r, seed=83)
     y = kernels._y(ctx, s, t)
-    np.testing.assert_array_equal(kernels._factorization_defect(ctx, s, t, y), y - _rhs_through_s_UR(ctx, s, t))
+    np.testing.assert_array_equal(kernels._factorization_defect(ctx, s, t), y - _rhs_through_s_UR(ctx, s, t))
     assert ctx.u_norm == Resolvent(ctx.U, ctx.R).u_norm
 
 
@@ -442,7 +495,7 @@ def test_factorization_defect_through_the_eigenbasis_matches_the_one_through_s_U
     s, t = domains.sample_rG(40, r, seed=82), domains.sample_rG(40, r, seed=83)
     y = kernels._y(ctx, s, t)
     rhs = _rhs_through_s_UR(ctx, s, t)
-    gap = np.max(np.abs(kernels._factorization_defect(ctx, s, t, y) - (y - rhs)))
+    gap = np.max(np.abs(kernels._factorization_defect(ctx, s, t) - (y - rhs)))
     assert gap <= DIFF_TOL * np.max(np.abs(rhs))
 
 
@@ -590,7 +643,8 @@ def test_no_points_build_no_eigenbasis(monkeypatch, capsys):
     ctx = _context((2, 3), 0.5)
     assert factorization_residual(ctx, [], []).shape == (0,)
     assert ctx.fractions(np.zeros((0, 2), dtype=complex)).shape == (0, 5, 5)
-    assert residual_maxima(ctx, [], [], [], []) == dict.fromkeys(PUBLIC_RESIDUALS, 0.0)
+    no_pairs = {"factorization": 0.0, "substitution": 0.0, "hermitian_symmetry": _hermitian_bound_from_basis(ctx)}
+    assert residual_maxima(ctx, [], [], [], []) == no_pairs
     assert cli.run(["kernel-check", "--dims", "8,8", "--samples", "0"]) == 0
     capsys.readouterr()
     assert calls == [] and "eigen" not in vars(ctx)

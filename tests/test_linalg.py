@@ -374,6 +374,13 @@ def test_unitary_extension_of_empty_is_identity():
     np.testing.assert_array_equal(linalg.unitary_extension(isom), np.eye(3))
 
 
+def test_partial_isometry_refuses_bases_of_different_widths():
+    with pytest.raises(ShapeMismatch, match="bases of 2 and 1 vectors"):
+        linalg.PartialIsometry(np.eye(3, 2, dtype=complex), np.eye(3, 1, dtype=complex))
+    with pytest.raises(ShapeMismatch):
+        linalg.PartialIsometry(domain_basis=np.zeros((3, 0), dtype=complex), image_basis=np.eye(3, 1, dtype=complex))
+
+
 def test_unitary_extension_rejects_wrong_ambient():
     isom = linalg.PartialIsometry(
         domain_basis=np.eye(2, dtype=complex),
