@@ -35,9 +35,10 @@ B = U R^{-1}:
 with a = r conj(m2), d = conj(m1) l1, b = r l2, a' = conj(m1),
 d' = r^2 conj(m2) l2 and b' = l1, each triple product expanded into its
 eight terms.  :class:`KernelContext` caches the eight matrices as one
-(8, n^2) array, so N kernel values are one (N, 8) @ (8, n^2) product.  It
-also diagonalizes B once, so that the fractions of the factorization check
-are a column scaling in that eigenbasis (:meth:`KernelContext.fractions`).
+(8, n^2) array, so N kernel values are one (N, 8) @ (8, n^2) product.  The
+right-hand side of the factorization is such a combination too, as
+s_{U,R} (2 - s1 B) = R^{-1} (2 s2 B - s1), so the factorization check
+computes no fraction.
 """
 
 from __future__ import annotations
@@ -71,45 +72,6 @@ class KernelContext(Resolvent):
         basis = np.stack(mats).reshape(8, -1)
         basis.flags.writeable = False  # computed once, shared by every kernel value
         return basis
-
-    @functools.cached_property
-    def eigen(self) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-        """(lam, Q, V^-1), read-only, where B = U R^{-1} = V diag(lam) V^{-1} and Q = R^{-1} V.
-
-        None where ``eig`` or the inverse of V fails, an entry is not finite, or
-        ||V||_F ||V^{-1}||_F, which bounds cond_2(V), exceeds ``linalg.EIGEN_GATE``:
-        a nearly defective B then has no eigenbasis fit to compute with.
-        """
-        try:
-            lam, v = np.linalg.eig(self.urinv)
-            vinv = np.linalg.inv(v)
-        except np.linalg.LinAlgError:
-            return None
-        parts = (lam, self.R.inv_matrix @ v, vinv)
-        finite = all(np.isfinite(p).all() for p in parts)
-        if not finite or np.linalg.norm(v) * np.linalg.norm(vinv) > linalg.EIGEN_GATE:
-            return None
-        for p in parts:
-            p.flags.writeable = False
-        return parts
-
-    def fractions(self, stack: np.ndarray) -> np.ndarray:
-        """The (N, n, n) fractions s_{U,R} at a checked stack, through :attr:`eigen`.
-
-        As 2 R - s1 U = (2 - s1 B) R, s_{U,R} = R^{-1} phi(B) for the Mobius map
-        phi(z) = (2 s2 z - s1) / (2 - s1 z), that is Q diag(phi(lam)) V^{-1}: one column
-        scaling and one product per point, with no LU.  The factors are tested first by
-        :meth:`Resolvent.check_factors`, so NotInvertible names the same point as
-        :func:`colligation.s_UR`.  With no points or no eigenbasis this is
-        :meth:`Resolvent.fractions`.
-        """
-        eigen = self.eigen if len(stack) else None
-        if eigen is None:
-            return super().fractions(stack)
-        self.check_factors(stack)
-        lam, q, vinv = eigen
-        s1, s2 = stack[:, 0, None], stack[:, 1, None]
-        return (q * ((2.0 * s2 * lam - s1) / (2.0 - s1 * lam))[:, None, :]) @ vinv
 
 
 def _combine(ctx: KernelContext, count: int, *coefs) -> np.ndarray:
@@ -195,15 +157,20 @@ def _substitution_defect(ctx: KernelContext, lam: np.ndarray, mu: np.ndarray) ->
 
 
 def _factorization_defect(ctx: KernelContext, s, t) -> np.ndarray:
-    """Y(s, t) minus (1/2) a_t* (1 - F_t* F_s) a_s, with a = 2 - s1 U R^{-1}, F = s_UR.
+    """Y(s, t) minus (1/2) a_t* (1 - F_t* F_s) a_s at checked stacks, with a = 2 - s1 B, F = s_UR.
 
-    F comes from the context's :meth:`KernelContext.fractions`, as the points are already checked.
+    F = (2 s2 R^{-1}U - s1)(2 R - s1 U)^{-1} and a = (2 R - s1 U) R^{-1}, so F a = R^{-1} (2 s2 B - s1)
+    and, as B* = A, the right-hand side is the combination 2 - conj(t1) A - h D - s1 B
+    + conj(t2) s1 AD + h AB + conj(t1) s2 DB - 2 conj(t2) s2 ADB with h = conj(t1) s1 / 2.
+    :meth:`Resolvent.check_factors` tests the factors first, so NotInvertible names the same
+    point as :func:`colligation.s_UR`.
     """
-    eye = np.eye(ctx.dim)
-    a_s = 2.0 * eye - s[:, 0, None, None] * ctx.urinv
-    a_t = 2.0 * eye - t[:, 0, None, None] * ctx.urinv
-    frac_s, frac_t = ctx.fractions(s), ctx.fractions(t)
-    rhs = 0.5 * a_t.conj().swapaxes(1, 2) @ (eye - frac_t.conj().swapaxes(1, 2) @ frac_s) @ a_s
+    ctx.check_factors(s)
+    ctx.check_factors(t)
+    s1, s2 = s[:, 0], s[:, 1]
+    t1, t2 = t[:, 0].conj(), t[:, 1].conj()
+    h = 0.5 * t1 * s1
+    rhs = _combine(ctx, len(s), 2.0, -t1, -h, -s1, t2 * s1, h, t1 * s2, -2.0 * t2 * s2)
     return _y(ctx, s, t) - rhs
 
 

@@ -2,8 +2,11 @@ import ast
 import dataclasses
 import importlib
 import inspect
+import os
 import pkgutil
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import skewbidisc
@@ -144,3 +147,20 @@ def test_every_public_function_is_used_or_documented():
     assert len(public) > 50
     dead = [(f, name) for f, name in public if name not in read and not re.search(rf"\b{name}\b", readme)]
     assert dead == []
+
+
+def test_import_loads_only_the_standard_library_and_numpy():
+    # Interpreter start plus this import is the whole set-up of a campaign, so it stays lean.
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import skewbidisc\n"
+        "print(' '.join(sorted(set(sys.modules) - before)))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    loaded = run.stdout.split()
+    assert "skewbidisc" in loaded
+    allowed = set(sys.stdlib_module_names) | {"numpy", "skewbidisc"}
+    assert sorted({name.split(".")[0] for name in loaded} - allowed) == []
+    assert "skewbidisc.cli" not in loaded and "skewbidisc.jsonio" not in loaded

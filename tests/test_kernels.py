@@ -458,9 +458,9 @@ def test_factorization_defect_is_its_closed_form_in_E_U(dims, r):
 def test_kernel_check_computes_few_eigenvalues(seed, eigvalsh_loads, capsys):
     assert cli.run(["kernel-check", "--dims", "8,8", "--samples", "300", "--seed", str(seed)]) == 0
     capsys.readouterr()
-    # 300 factorization defects, 300 substitution defects and 6 unitarity defects: every
-    # one of the 606 had its eigenvalues computed before the screen.  The 9 norms of the
-    # three Hermitian bounds are computed without a screen.
+    # 300 factorization defects and 300 substitution defects: every one of the 600 had its
+    # eigenvalues computed before the screen.  The 6 unitarity defects are settled by their
+    # Frobenius norms, and the 9 norms of the three Hermitian bounds take no screen.
     assert 6 < sum(eigvalsh_loads) <= 150
 
 
@@ -474,29 +474,21 @@ def _rhs_through_s_UR(ctx, s, t):
     return 0.5 * a_t.conj().swapaxes(1, 2) @ (eye - frac_t.conj().swapaxes(1, 2) @ frac_s) @ a_s
 
 
-@pytest.mark.parametrize("dims", [(1, 1), (2, 3), (8, 8)])
-@pytest.mark.parametrize("r", [1e-3, 0.5, 0.999])
-@pytest.mark.parametrize("scale", [1.0, 1.05])
-def test_factorization_defect_is_bitwise_the_one_through_s_UR(dims, r, scale):
-    ctx = _context(dims, r, scale=scale)  # 1.05 leaves the factors at larger |s1| to the SVD
-    object.__setattr__(ctx, "eigen", None)  # as the gate leaves it: the fractions take the LU path
-    s, t = domains.sample_rG(40, r, seed=82), domains.sample_rG(40, r, seed=83)
-    y = kernels._y(ctx, s, t)
-    np.testing.assert_array_equal(kernels._factorization_defect(ctx, s, t), y - _rhs_through_s_UR(ctx, s, t))
-    assert ctx.u_norm == Resolvent(ctx.U, ctx.R).u_norm
-
-
-@pytest.mark.parametrize("dims", [(1, 1), (2, 3), (8, 8)])
-@pytest.mark.parametrize("r", [1e-3, 0.5, 0.999])
-@pytest.mark.parametrize("scale", [1.0, 1.05])
-def test_factorization_defect_through_the_eigenbasis_matches_the_one_through_s_UR(dims, r, scale):
-    ctx = _context(dims, r, scale=scale)
-    assert ctx.eigen is not None
-    s, t = domains.sample_rG(40, r, seed=82), domains.sample_rG(40, r, seed=83)
-    y = kernels._y(ctx, s, t)
+def _assert_defect_matches_s_UR(ctx, s, t):
+    """The factorization defect against Y minus the right-hand side through s_UR."""
     rhs = _rhs_through_s_UR(ctx, s, t)
-    gap = np.max(np.abs(kernels._factorization_defect(ctx, s, t) - (y - rhs)))
-    assert gap <= DIFF_TOL * np.max(np.abs(rhs))
+    gap = np.max(np.abs(kernels._factorization_defect(ctx, s, t) - (kernels._y(ctx, s, t) - rhs)))
+    assert gap <= DIFF_TOL * max(1.0, np.max(np.abs(rhs)))
+
+
+@pytest.mark.parametrize("dims", [(1, 1), (2, 3), (8, 8)])
+@pytest.mark.parametrize("r", [1e-3, 0.5, 0.999])
+@pytest.mark.parametrize("scale", [1.0, 1.05])
+def test_factorization_defect_matches_the_one_through_s_UR(dims, r, scale):
+    ctx = _context(dims, r, scale=scale)  # 1.05 leaves the factors at larger |s1| to the SVD
+    s, t = domains.sample_rG(40, r, seed=82), domains.sample_rG(40, r, seed=83)
+    _assert_defect_matches_s_UR(ctx, s, t)
+    assert ctx.u_norm == Resolvent(ctx.U, ctx.R).u_norm
 
 
 def test_kernel_check_leaves_no_point_to_the_fraction_to_check(monkeypatch, capsys):
@@ -532,13 +524,8 @@ def test_kernel_check_checks_each_stack_once(monkeypatch, capsys):
     assert seen == expected and len(set(seen)) == 12
 
 
-# The eigenbasis path of KernelContext.fractions against the all-SVD s_UR.
-def _gate_product(ctx):
-    """||V||_F ||V^-1||_F for the eigenbasis V of U R^-1 that numpy returns."""
-    v = np.linalg.eig(ctx.urinv)[1]
-    return np.linalg.norm(v) * np.linalg.norm(np.linalg.inv(v))
-
-
+# The polynomial form of s_UR (2 - s1 U R^-1) that the factorization check relies on,
+# against the all-SVD s_UR.
 def _rotation(c):
     """The real rotation [[c, s], [-s, c]]; with R = diag(1, r), U R^-1 has a double
     eigenvalue, and is defective, exactly when c = 2 sqrt(r) / (1 + r)."""
@@ -555,18 +542,35 @@ def _differential_points(r, seed):
     return np.vstack([domains.sample_rG(40, r, seed), np.array(_near_boundary_points(r, 40, seed + 1)[0])])
 
 
-def _assert_fractions_match_s_UR(ctx, stack):
-    fast, ref = ctx.fractions(stack), s_UR(stack, ctx.U, ctx.R)
-    assert fast.shape == ref.shape == (len(stack), ctx.dim, ctx.dim)
-    assert np.max(np.abs(fast - ref)) <= DIFF_TOL * max(1.0, np.max(np.abs(ref)))
+def _assert_polynomial_form_matches_s_UR(ctx, stack):
+    """R^-1 (2 s2 U R^-1 - s1) against s_UR (2 - s1 U R^-1) through s_UR."""
+    s1, s2 = stack[:, 0, None, None], stack[:, 1, None, None]
+    poly = ctx.R.inv_matrix @ (2.0 * s2 * ctx.urinv - s1 * np.eye(ctx.dim))
+    ref = s_UR(stack, ctx.U, ctx.R) @ (2.0 * np.eye(ctx.dim) - s1 * ctx.urinv)
+    assert poly.shape == ref.shape == (len(stack), ctx.dim, ctx.dim)
+    assert np.max(np.abs(poly - ref)) <= DIFF_TOL * max(1.0, np.max(np.abs(ref)))
 
 
 @pytest.mark.parametrize("dims", [(1, 1), (2, 3), (8, 8), (12, 12)])
 @pytest.mark.parametrize("r", [1e-4, 1e-3, 0.5, 0.999, 1.0 - 1e-6])
-def test_eigenbasis_fractions_match_s_UR_on_haar_unitaries(dims, r):
+def test_polynomial_form_matches_s_UR_on_haar_unitaries(dims, r):
     ctx = KernelContext(haar_unitary(sum(dims), 90), build_R(SubspaceSplit(*dims), r))
-    assert ctx.eigen is not None  # the largest gate product here is 142, at (12, 12)
-    _assert_fractions_match_s_UR(ctx, _differential_points(r, 91))
+    _assert_polynomial_form_matches_s_UR(ctx, _differential_points(r, 91))
+
+
+@pytest.mark.parametrize("dims", [(1, 1), (2, 3), (8, 8), (12, 12)])
+@pytest.mark.parametrize("r", [1e-4, 0.5, 1.0 - 1e-6])
+def test_factorization_defect_matches_the_one_through_s_UR_near_the_boundary(dims, r):
+    ctx = KernelContext(haar_unitary(sum(dims), 90), build_R(SubspaceSplit(*dims), r))
+    _assert_defect_matches_s_UR(ctx, _differential_points(r, 105), _differential_points(r, 107)[::-1])
+
+
+def test_a_haar_unitary_is_settled_without_eigenvalues(eigvalsh_loads):
+    R = build_R(SubspaceSplit(8, 8), 0.5)
+    KernelContext(haar_unitary(16, 3), R)
+    assert eigvalsh_loads == []
+    with pytest.raises(InvalidParams):
+        KernelContext(haar_unitary(16, 3) * (1.0 + 2e-10), R)  # a defect of 4e-10 in every direction
 
 
 def _structured_unitaries(d):
@@ -582,87 +586,63 @@ def _structured_unitaries(d):
 
 @pytest.mark.parametrize("kind", ["diagonal", "pair permutation", "block swap"])
 @pytest.mark.parametrize("r", [1e-3, 0.5, 0.999])
-def test_eigenbasis_fractions_match_s_UR_on_structured_unitaries(kind, r):
+def test_polynomial_form_matches_s_UR_on_structured_unitaries(kind, r):
     ctx = KernelContext(_structured_unitaries(4)[kind], build_R(SubspaceSplit(4, 4), r))
-    assert ctx.eigen is not None
-    _assert_fractions_match_s_UR(ctx, _differential_points(r, 92))
+    _assert_polynomial_form_matches_s_UR(ctx, _differential_points(r, 92))
 
 
 @pytest.mark.parametrize(("r", "delta"), [(0.25, 1.5e-5), (0.25, -1.5e-5), (0.5, 4e-6), (0.5, -4e-6)])
-def test_eigenbasis_fractions_match_s_UR_just_under_the_gate(r, delta):
+def test_polynomial_form_matches_s_UR_near_a_defective_B(r, delta):
     # delta > 0 gives complex eigenvalues, delta < 0 two real ones, 1e-5 apart.
-    ctx = _rotation_context(r, delta)
-    assert 200.0 < _gate_product(ctx) <= linalg.EIGEN_GATE
-    assert ctx.eigen is not None
-    _assert_fractions_match_s_UR(ctx, _differential_points(r, 93))
+    _assert_polynomial_form_matches_s_UR(_rotation_context(r, delta), _differential_points(r, 93))
 
 
-def _assert_lu_path(ctx, seed):
-    """The context has no eigenbasis, its fractions are s_UR's bit for bit and its residuals pass."""
-    assert ctx.eigen is None
+def _assert_check_passes(ctx, seed):
+    """The factorization defect matches the one through s_UR, and the residuals pass."""
     s = _differential_points(ctx.r, seed)
-    np.testing.assert_array_equal(ctx.fractions(s), s_UR(s, ctx.U, ctx.R))
     t = _differential_points(ctx.r, seed + 2)
+    _assert_defect_matches_s_UR(ctx, s, t)
     lam, mu = (domains.sample_skew_bidisc(len(s), ctx.r, seed + k) for k in (4, 5))
     assert max(residual_maxima(ctx, s, t, lam, mu).values()) <= 1e-10
 
 
-def test_exactly_defective_B_takes_the_lu_path():
+def test_factorization_check_passes_for_an_exactly_defective_B():
     # U R^-1 = [[0.8, 2.4], [-0.6, 3.2]] has the double eigenvalue 2 and one eigenvector.
-    ctx = KernelContext(np.array([[0.8, 0.6], [-0.6, 0.8]], dtype=complex), build_R(SubspaceSplit(1, 1), 0.25))
-    assert _gate_product(ctx) > 1e8
-    _assert_lu_path(ctx, 94)
+    _assert_check_passes(KernelContext(np.array([[0.8, 0.6], [-0.6, 0.8]], dtype=complex),
+                                       build_R(SubspaceSplit(1, 1), 0.25)), 94)
 
 
 @pytest.mark.parametrize("r", [0.1, 0.5])
 @pytest.mark.parametrize("delta", [0.0, 1e-12])
-def test_nearly_defective_B_takes_the_lu_path(r, delta):
-    ctx = _rotation_context(r, delta)
-    assert _gate_product(ctx) > 1e5
-    _assert_lu_path(ctx, 95)
+def test_factorization_check_passes_for_a_nearly_defective_B(r, delta):
+    _assert_check_passes(_rotation_context(r, delta), 95)
 
 
-@pytest.mark.parametrize(
-    "broken",
-    [
-        lambda lam, v: (lam, np.ones_like(v)),  # a singular V: its inversion raises
-        lambda lam, v: (lam * np.nan, v),
-    ],
-    ids=["singular V", "nan eigenvalues"],
-)
-def test_a_failed_eigenbasis_falls_back_to_the_lu_path(broken, monkeypatch):
-    eig = np.linalg.eig
-    monkeypatch.setattr(np.linalg, "eig", lambda a: broken(*eig(a)))
-    _assert_lu_path(_context((2, 3), 0.5), 96)
-
-
-def test_no_points_build_no_eigenbasis(monkeypatch, capsys):
+def test_no_points_give_empty_defects_and_the_kernel_check_makes_no_eig(monkeypatch, capsys):
     calls = []
     eig = np.linalg.eig
     monkeypatch.setattr(np.linalg, "eig", lambda a: calls.append(1) or eig(a))
     ctx = _context((2, 3), 0.5)
     assert factorization_residual(ctx, [], []).shape == (0,)
-    assert ctx.fractions(np.zeros((0, 2), dtype=complex)).shape == (0, 5, 5)
+    no_points = np.zeros((0, 2), dtype=complex)
+    assert kernels._factorization_defect(ctx, no_points, no_points).shape == (0, 5, 5)
     no_pairs = {"factorization": 0.0, "substitution": 0.0, "hermitian_symmetry": _hermitian_bound_from_basis(ctx)}
     assert residual_maxima(ctx, [], [], [], []) == no_pairs
-    assert cli.run(["kernel-check", "--dims", "8,8", "--samples", "0"]) == 0
+    for samples in ("0", "30"):
+        assert cli.run(["kernel-check", "--dims", "8,8", "--samples", samples]) == 0
     capsys.readouterr()
-    assert calls == [] and "eigen" not in vars(ctx)
-    assert cli.run(["kernel-check", "--dims", "8,8", "--samples", "30"]) == 0
-    capsys.readouterr()
-    assert len(calls) == 3  # one eigenbasis per unitary
+    assert calls == []
 
 
-def test_singular_factor_names_the_same_point_on_the_eigenbasis_path():
+def test_singular_factor_names_the_same_point_as_s_UR():
     ctx = _context((2, 3), 0.5)
     s = domains.sample_rG(8, ctx.r, seed=97)
     # Scale U so that 2 - s1 U R^-1 has the eigenvalue 0 at point 5: the factor 2R - s1 U is singular.
     lam = np.linalg.eigvals(ctx.urinv)
     object.__setattr__(ctx, "U", ctx.U * (2.0 / (s[5, 0] * lam[np.argmax(np.abs(lam))])))
-    assert ctx.eigen is not None
     with pytest.raises(NotInvertible) as ref:
         s_UR(s, ctx.U, ctx.R)
     assert "matrix 5 of the stack" in str(ref.value)
     with pytest.raises(NotInvertible) as got:
-        ctx.fractions(s)
+        kernels._factorization_defect(ctx, s, s[::-1])
     assert str(got.value) == str(ref.value)

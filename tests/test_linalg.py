@@ -176,6 +176,16 @@ def test_largest_spectral_norm_under_a_high_floor_computes_no_eigenvalue(eigvals
     assert eigvalsh_loads == []
 
 
+def test_norms_run_without_numpy_2_only_calls(monkeypatch):
+    # pyproject allows numpy 1.24, which has no np.vecdot.
+    rng = np.random.Generator(np.random.Philox(16))
+    stack = rng.standard_normal((6, 4, 3)) + 1j * rng.standard_normal((6, 4, 3))
+    norms = linalg.spectral_norm(stack)
+    monkeypatch.delattr(np, "vecdot", raising=False)
+    assert linalg.largest_spectral_norm(stack) == norms.max()
+    np.testing.assert_array_equal(linalg.spectral_norm(stack), norms)
+
+
 @pytest.mark.parametrize("shape", [(0, 3, 3), (0, 0, 0), (2, 0, 3)])
 def test_largest_spectral_norm_of_empty_stacks(shape, eigvalsh_loads):
     assert linalg.largest_spectral_norm(np.zeros(shape), 0.25) == 0.25
@@ -216,6 +226,29 @@ def test_is_unitary_decides_as_the_svd_norm_does():
     decisions = [linalg.is_unitary(m, tol) for m, tol in cases]
     assert decisions == [by_svd(m, tol) for m, tol in cases]
     assert decisions == [True, True, False, False, False, True, True, False]
+
+
+def test_is_unitary_takes_the_spectral_norm_where_frobenius_cannot_settle(eigvalsh_loads):
+    # U diag(1 + d) has both defects diag((1 + d)^2 - 1): spectral norm 5e-11, Frobenius norm 2e-10.
+    d = np.sqrt(1.0 + 5e-11) - 1.0
+    m = linalg.haar_unitary(16, 4) * (1.0 + d)
+    defect = m.conj().T @ m - np.eye(16)
+    assert np.linalg.norm(defect) > 1e-10 > np.linalg.norm(defect, 2)
+    assert linalg.is_unitary(m, 1e-10)
+    assert eigvalsh_loads == [2]  # both defects, in one call
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan), complex(np.inf, 1.0)])
+@pytest.mark.parametrize("scale", [1e-300, 1.0, 1e300])
+def test_spectral_norm_refuses_a_non_finite_entry(bad, scale):
+    rng = np.random.Generator(np.random.Philox(15))
+    stack = scale * (rng.standard_normal((4, 5, 3)) + 1j * rng.standard_normal((4, 5, 3)))
+    stack[2, 4, 1] = bad
+    for m in (stack, stack[2], stack[2].T, stack.swapaxes(1, 2)):
+        with pytest.raises(ShapeMismatch):
+            linalg.spectral_norm(m)
+    with pytest.raises(ShapeMismatch):
+        linalg.largest_spectral_norm(stack)
 
 
 def test_is_unitary_accepts_identity_at_zero_tol():

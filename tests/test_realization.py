@@ -95,6 +95,29 @@ def test_model_residual_vanishes_for_valid_colligations(split):
     assert worst < 1e-12
 
 
+@pytest.mark.parametrize("case", ["as given", "U * 1.2", "D + 0.1 E", "gamma * 1.01"])
+def test_model_identity_gap_is_its_closed_form_in_L(case):
+    # B = L A column by column for any colligation, so Gram(A) - Gram(B) = A* (1 - L* L) A
+    # whatever U is: only a fault in L can open the gap.
+    c = random_colligation(SubspaceSplit(2, 3), R_DEFAULT, seed=3)
+    rng = np.random.Generator(np.random.Philox(8))
+    e = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+    c = {
+        "as given": c,
+        "U * 1.2": replace(c, U=1.2 * c.U),
+        "D + 0.1 E": replace(c, D=c.D + 0.1 * e),
+        "gamma * 1.01": replace(c, gamma=1.01 * c.gamma),
+    }[case]
+    a_fam, b_fam = evaluate(c, domains.sample_rG(60, R_DEFAULT, seed=5))
+    gram_a, gram_b = a_fam.conj().T @ a_fam, b_fam.conj().T @ b_fam
+    big_l = c.l_matrix()
+    closed = a_fam.conj().T @ (np.eye(c.dim + 1) - big_l.conj().T @ big_l) @ a_fam
+    scale = max(np.max(np.abs(gram_a)), np.max(np.abs(gram_b)))
+    assert np.max(np.abs(gram_a - gram_b - closed)) <= 64 * np.finfo(float).eps * max(1.0, scale)
+    faulty_l = case in ("D + 0.1 E", "gamma * 1.01")
+    assert (np.max(np.abs(gram_a - gram_b)) > 1e-3) == faulty_l
+
+
 @pytest.mark.parametrize("dims", [(1, 1), (2, 3), (8, 8)])
 @pytest.mark.parametrize("r", [1e-3, 0.5, 0.999])
 def test_stacked_evaluation_matches_one_point_formulas(dims, r):
