@@ -67,7 +67,7 @@ def validate_params(p: RankOneParams, tol: float = 1e-10) -> None:
     would certify a different function than the one requested.
     """
     for name, omega in (("omega1", p.omega1), ("omega2", p.omega2)):
-        if abs(abs(omega) - 1.0) > tol:
+        if not abs(abs(omega) - 1.0) <= tol:  # a NaN modulus is refused too
             raise InvalidParams(f"{name} has modulus {abs(omega)!r}, expected 1")
     for name in ("gamma", "beta", "u", "v"):
         norm = float(np.linalg.norm(getattr(p, name)))
@@ -81,7 +81,7 @@ def validate_params(p: RankOneParams, tol: float = 1e-10) -> None:
         raise InvalidParams(f"<v, beta> has modulus {vb:.3e}, expected 0")
 
 
-def rank_one_build(p: RankOneParams, tol: float = 1e-10) -> tuple[Colligation, Callable]:
+def rank_one_build(p: RankOneParams) -> tuple[Colligation, Callable]:
     """The colligation of a rank-one entry and its closed-form evaluator.
 
     The evaluator takes a point of r.G, giving its value, or an (N, 2) stack,
@@ -99,7 +99,7 @@ def rank_one_build(p: RankOneParams, tol: float = 1e-10) -> tuple[Colligation, C
         N(s) = [[p1 (1 - u2 conj(v2) p2),  u1 conj(v2) p1 p2],
                 [u2 conj(v1) p1 p2,        p2 (1 - u1 conj(v1) p1)]].
     """
-    validate_params(p, tol)
+    validate_params(p)
     colligation = Colligation(
         r=p.r,
         split=SubspaceSplit(1, 1),

@@ -72,8 +72,6 @@ class RunConfig:
             raise ConfigError(f"--samples must be >= 0, got {self.samples}")
         if self.seed < 0:
             raise ConfigError(f"--seed must be >= 0, got {self.seed}")
-        if not 0.0 < self.r < 1.0:
-            raise ConfigError(f"--r must satisfy 0 < r < 1, got {self.r}")
         if not (self.tol > 0.0 and math.isfinite(self.tol)):
             raise ConfigError(f"--tol must be positive and finite, got {self.tol}")
 
@@ -103,8 +101,7 @@ def cmd_synthesize(cfg: RunConfig) -> tuple[Sequence[Check], int]:
     try:
         model = synthesize(spec, pts, tol=cfg.tol)
     except GramianMismatch as exc:
-        residual = exc.residual if exc.residual is not None else float("inf")
-        return [Check(exc.check, residual, cfg.tol)], len(pts)
+        return [Check(exc.check, exc.residual, cfg.tol)], len(pts)
     rep = model.residual_report
     checks = [
         Check("sigma_symmetry", rep["sigma_symmetry_residual"], cfg.tol),
@@ -130,15 +127,12 @@ def cmd_synthesize(cfg: RunConfig) -> tuple[Sequence[Check], int]:
 
 
 def cmd_kernel_check(cfg: RunConfig) -> tuple[Sequence[Check], int]:
-    d1, d2 = cfg.dims
-    if d1 < 1 or d2 < 1:
-        raise ConfigError(f"--dims must both be >= 1, got {d1},{d2}")
-    r_op = build_R(SubspaceSplit(d1, d2), cfg.r)
+    r_op = build_R(SubspaceSplit(*cfg.dims), cfg.r)
     n_unitaries = 3
     per = max(cfg.samples // n_unitaries, 1) if cfg.samples else 0
     worst: dict[str, float] = {}
     for i in range(n_unitaries):
-        ctx = KernelContext(linalg.haar_unitary(d1 + d2, cfg.seed + i), r_op)
+        ctx = KernelContext(linalg.haar_unitary(r_op.split.total, cfg.seed + i), r_op)
         pairs_s = sample_rG(per, cfg.r, cfg.seed + 100 + i)
         pairs_t = sample_rG(per, cfg.r, cfg.seed + 200 + i)
         lams = sample_skew_bidisc(per, cfg.r, cfg.seed + 300 + i)

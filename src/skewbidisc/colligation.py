@@ -41,39 +41,28 @@ from .errors import (
 
 @dataclass(frozen=True)
 class SubspaceSplit:
-    """Dimensions of the decomposition M = C^{d1} (+) C^{d2}.
-
-    Construction allows a degenerate side (d1 or d2 equal to 0) so that
-    malformed colligations can still be represented and *reported* invalid;
-    operations that genuinely need the split proper refuse it.
-    """
+    """Dimensions of the decomposition M = C^{d1} (+) C^{d2}, both at least 1."""
 
     d1: int
     d2: int
 
     def __post_init__(self):
-        if self.d1 < 0 or self.d2 < 0 or self.d1 + self.d2 < 1:
-            raise InvalidParams(f"split ({self.d1}, {self.d2}) is not usable")
+        if self.d1 < 1 or self.d2 < 1:
+            raise InvalidParams(f"split ({self.d1}, {self.d2}) must have both parts >= 1")
 
     @property
     def total(self) -> int:
         return self.d1 + self.d2
 
-    @property
-    def proper(self) -> bool:
-        return self.d1 >= 1 and self.d2 >= 1
-
 
 @dataclass(eq=False, frozen=True)
 class ROperator:
-    """diag(1_{d1}, r 1_{d2}) and its exact inverse, both read-only, for d1, d2 >= 1 and 0 < r < 1."""
+    """diag(1_{d1}, r 1_{d2}) and its exact inverse, both read-only, for 0 < r < 1."""
 
     split: SubspaceSplit
     r: float
 
     def __post_init__(self):
-        if not self.split.proper:
-            raise InvalidParams(f"split ({self.split.d1}, {self.split.d2}) must have both parts >= 1")
         object.__setattr__(self, "r", check_r(self.r))
 
     @cached_property
@@ -169,7 +158,7 @@ class Resolvent:
 class Colligation:
     """A realization datum (a, beta, gamma, D) on C (+) C^{d1+d2} plus U and r.
 
-    Construction checks shapes and finiteness only, and keeps read-only copies
+    Construction checks r, shapes and finiteness, and keeps read-only copies
     of beta, gamma, D and U.  Whether the block matrix is actually unitary is a
     question for :func:`validate_colligation`, which reports rather than raises,
     so that defective inputs can be examined.  The fields are frozen, so the
@@ -226,8 +215,6 @@ class Colligation:
 
 def random_colligation(split: SubspaceSplit, r: float, seed: int) -> Colligation:
     """A valid colligation drawn from Haar measure; useful for campaigns."""
-    if not split.proper:
-        raise InvalidParams("random colligation needs a proper split")
     rng = np.random.Generator(np.random.Philox(seed))
     L = linalg.haar_unitary(split.total + 1, rng)
     return Colligation.from_l_matrix(L, r, split, linalg.haar_unitary(split.total, rng))
@@ -310,16 +297,11 @@ class ValidationReport:
 
 
 def validate_colligation(c: Colligation, tol: float = 1e-10) -> ValidationReport:
-    """Report whether a colligation is usable: structure plus unitarity.
+    """Report whether a colligation is usable: unitarity of L and U, and ||D|| <= 1.
 
-    Structural failures (improper split) surface as an infinite residual so
-    they are visible next to the numeric defects.  Nothing raises; the
-    caller decides what to do with a failed report.
+    Nothing raises; the caller decides what to do with a failed report.
     """
     checks: list[Check] = []
-    checks.append(
-        Check("split_proper", 0.0 if c.split.proper else float("inf"), tol)
-    )
     L = c.l_matrix()
     eye_l = np.eye(L.shape[0])
     eye_u = np.eye(c.U.shape[0])

@@ -307,7 +307,7 @@ def _points(x1, y1, x2, y2) -> np.ndarray:
 def mobius_phi(z: complex, s):
     """The scalar fraction (s2 z - s1/2) / (1 - s1 z / 2) at a point, or at each point of a stack.
 
-    Raises PoleAtInput naming the first point where |1 - s1 z / 2| < POLE_EPS.
+    Raises PoleAtInput naming the first point where |1 - s1 z / 2| < POLE_EPS or is NaN.
     """
     stack, one = _as_stack(s)
     s1, s2 = stack.T
@@ -318,10 +318,11 @@ def mobius_phi(z: complex, s):
 
 
 def _denominator_moduli(den: np.ndarray, stack: np.ndarray, eps: float, error: type, what: str):
-    """|den| at each point of a stack; raises ``error`` naming the first point with |den| < eps."""
+    """|den| at each point of a stack; raises ``error`` naming the first point with |den| < eps or NaN."""
     mod = np.abs(den)
-    if (mod < eps).any():
-        k = int(np.argmax(mod < eps))
+    small = ~(mod >= eps)
+    if small.any():
+        k = int(np.argmax(small))
         z1, z2 = stack[k].tolist()
         raise error(f"{what}: denominator modulus {mod[k]:.3e} at point {k} ({z1}, {z2})")
     return mod
@@ -329,7 +330,7 @@ def _denominator_moduli(den: np.ndarray, stack: np.ndarray, eps: float, error: t
 
 def magic_phi(omega: complex, s: Sequence[complex]) -> complex:
     """The rational inner-type function on G attached to a unimodular omega."""
-    if abs(abs(omega) - 1.0) > 1e-12:
+    if not abs(abs(omega) - 1.0) <= 1e-12:  # a NaN modulus is refused too
         raise NotUnimodular(f"|omega| = {abs(omega)!r} is not 1")
     if not in_G(s):
         raise OutsideDomain(f"point {tuple(s)} is not in G")
@@ -342,7 +343,7 @@ def upsilon(omega: complex, r: float, s):
     Evaluates r^{-1} (s2 omega r^{-1} - s1/2) / (1 - s1 omega r^{-1} / 2);
     unimodular ``omega`` keeps its modulus below 1 on all of r.G.
     """
-    if abs(abs(omega) - 1.0) > 1e-12:
+    if not abs(abs(omega) - 1.0) <= 1e-12:  # a NaN modulus is refused too
         raise NotUnimodular(f"|omega| = {abs(omega)!r} is not 1")
     check_r(r)
     stack, one = point_stack(s, r)

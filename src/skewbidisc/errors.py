@@ -20,7 +20,7 @@ class SingularMatrix(SkewBidiscError):
     (0 for a single matrix), so callers can name the input that caused it.
     """
 
-    def __init__(self, message: str, index: int = 0):
+    def __init__(self, message: str, index: int):
         super().__init__(message)
         self.index = index
 
@@ -36,12 +36,12 @@ class ShapeMismatch(SkewBidiscError):
 class GramianMismatch(SkewBidiscError):
     """Two vector families do not have matching Gramians within tolerance.
 
-    Carries the offending residual when it is known, so reports can surface
-    the number instead of just the message, and the name of the failed
-    check: ``"gramian"``, ``"sigma_symmetry"`` or ``"bidisc_model"``.
+    Carries the offending residual, so reports can surface the number
+    instead of just the message, and the name of the failed check:
+    ``"gramian"``, ``"sigma_symmetry"`` or ``"bidisc_model"``.
     """
 
-    def __init__(self, message: str, residual: float | None = None, check: str = "gramian"):
+    def __init__(self, message: str, residual: float, check: str = "gramian"):
         super().__init__(message)
         self.residual = residual
         self.check = check

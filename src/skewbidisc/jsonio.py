@@ -104,29 +104,19 @@ def colligation_to_json(c: Colligation) -> dict:
     }
 
 
-def colligation_from_json(obj: Any, where: str = "colligation") -> Colligation:
+def colligation_from_json(obj: Any) -> Colligation:
+    where = "colligation"
     if not isinstance(obj, dict):
         raise ParseError(f"{where}: expected an object")
     r = _real_number(_require(obj, "r", where), f"{where}.r")
-    if not 0.0 < r < 1.0:
-        raise ParseError(f"{where}.r: must satisfy 0 < r < 1, got {r}")
     d1 = _int_number(_require(obj, "d1", where), f"{where}.d1")
     a = complex_from_json(_require(obj, "a", where), f"{where}.a")
     beta = vector_from_json(_require(obj, "beta", where), f"{where}.beta")
     gamma = vector_from_json(_require(obj, "gamma", where), f"{where}.gamma")
     d_mat = matrix_from_json(_require(obj, "D", where), f"{where}.D")
     u_mat = matrix_from_json(_require(obj, "U", where), f"{where}.U")
-    total = beta.shape[0]
-    d2 = total - d1
-    if d1 < 0 or d2 < 0:
-        raise ParseError(f"{where}: d1={d1} incompatible with vector length {total}")
-    if gamma.shape[0] != total or d_mat.shape != (total, total) or u_mat.shape != (total, total):
-        raise ParseError(
-            f"{where}: inconsistent shapes (beta {total}, gamma {gamma.shape[0]}, "
-            f"D {d_mat.shape}, U {u_mat.shape})"
-        )
-    try:
-        split = SubspaceSplit(d1, d2)
+    try:  # the constructors refuse r, the split and the block shapes
+        split = SubspaceSplit(d1, beta.shape[0] - d1)
         return Colligation(r=r, split=split, a=a, beta=beta, gamma=gamma, D=d_mat, U=u_mat)
     except Exception as exc:
         raise ParseError(f"{where}: {exc}") from exc
@@ -167,7 +157,8 @@ def model_spec_to_json(spec: BidiscModelSpec) -> dict:
     }
 
 
-def model_spec_from_json(obj: Any, where: str = "model spec") -> BidiscModelSpec:
+def model_spec_from_json(obj: Any) -> BidiscModelSpec:
+    where = "model spec"
     if not isinstance(obj, dict):
         raise ParseError(f"{where}: expected an object")
     r = _real_number(_require(obj, "r", where), f"{where}.r")
@@ -182,7 +173,8 @@ def model_spec_from_json(obj: Any, where: str = "model spec") -> BidiscModelSpec
         raise ParseError(f"{where}: {exc}") from exc
 
 
-def load_json(path: str | Path, where: str = "input") -> Any:
+def load_json(path: str | Path) -> Any:
+    where = "input"
     try:
         text = Path(path).read_text()
     except OSError as exc:

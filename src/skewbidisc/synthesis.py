@@ -136,8 +136,7 @@ class BidiscModelSpec:
 
     def __post_init__(self):
         check_r(self.r)
-        if self.d1 < 1 or self.d2 < 1:
-            raise InvalidParams(f"model dimensions ({self.d1}, {self.d2}) must be >= 1")
+        SubspaceSplit(self.d1, self.d2)  # refuses an empty side
         if self.u1.dim != self.d1 or self.u2.dim != self.d2:
             raise ShapeMismatch(
                 f"map dims ({self.u1.dim}, {self.u2.dim}) do not match ({self.d1}, {self.d2})"

@@ -103,6 +103,42 @@ def test_every_module_uses_what_it_imports():
     assert unused == []
 
 
+def _unit_interval_tests(tree: ast.AST, scope: tuple[str, ...] = ()):
+    """The dotted scope of each chained ``0 < x < 1`` or ``1 > x > 0`` under ``tree``."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, ast.Compare) and len(node.ops) == 2:
+            ends = [e.value if isinstance(e, ast.Constant) else None for e in (node.left, node.comparators[-1])]
+            if (all(isinstance(op, ast.Lt) for op in node.ops) and ends == [0, 1]) or (
+                all(isinstance(op, ast.Gt) for op in node.ops) and ends == [1, 0]
+            ):
+                yield ".".join(scope)
+        named = isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        yield from _unit_interval_tests(node, scope + (node.name,) if named else scope)
+
+
+def test_only_check_r_tests_the_unit_interval():
+    # domains.check_r owns 0 < r < 1; the same test anywhere else is a second owner.
+    found = [
+        f"{path.stem}.{scope}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for scope in _unit_interval_tests(ast.parse(path.read_text()))
+    ]
+    assert found == ["domains.check_r"]
+
+
+def test_unit_interval_tests_are_seen_in_every_form():
+    source = (
+        "class C:\n"
+        "    def f(self):\n"
+        "        return 0.0 < self.r < 1.0 and 0 < x <= 1\n"
+        "def g(r):\n"
+        "    if not 1 > r > 0:\n"
+        "        pass\n"
+        "h = 0 < y < 1\n"
+    )
+    assert list(_unit_interval_tests(ast.parse(source))) == ["C.f", "g", ""]
+
+
 def _package_dataclasses():
     """Every dataclass defined in a package module."""
     for info in pkgutil.iter_modules(skewbidisc.__path__):

@@ -51,6 +51,16 @@ def test_validate_params_rejections():
         )
 
 
+@pytest.mark.parametrize("omega1", [complex("nan"), complex(1.0, float("nan"))])
+def test_a_nan_omega_is_refused_as_a_parameter(omega1):
+    good = random_params(R, seed=4)
+    p = RankOneParams(R, omega1, good.omega2, good.gamma, good.beta, good.u, good.v)
+    with pytest.raises(InvalidParams, match="omega1 has modulus nan"):
+        validate_params(p)
+    with pytest.raises(InvalidParams, match="omega1 has modulus nan"):
+        rank_one_build(p)
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_built_colligations_are_unitary(seed):
     for name in CATALOG_NAMES:

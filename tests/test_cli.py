@@ -212,6 +212,54 @@ def test_exit_code_2_on_config_errors(capsys, colligation_file):
     capsys.readouterr()
 
 
+def _assert_refused(capsys, argv, *texts):
+    """``argv`` exits 2, prints no report and names each of ``texts`` on stderr."""
+    code = run(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, ""), captured.err
+    assert [t for t in texts if t not in captured.err] == [], captured.err
+
+
+@pytest.mark.parametrize("command", ["validate", "certify"])
+@pytest.mark.parametrize("d1", ["0", "n", "n + 1"])
+def test_a_file_whose_split_has_an_empty_side_is_a_parse_error(capsys, tmp_path, colligation_file,
+                                                                command, d1):
+    # With blocks on C^n, d1 = 0 or n leaves a side empty and d1 = n + 1 a negative one.
+    obj = json.loads(colligation_file.read_text())
+    n = len(obj["beta"])
+    d1 = {"0": 0, "n": n, "n + 1": n + 1}[d1]
+    path = tmp_path / "empty-side.json"
+    path.write_text(json.dumps({**obj, "d1": d1}))
+    _assert_refused(capsys, [command, "--input", str(path)],
+                    f"colligation: split ({d1}, {n - d1}) must have both parts >= 1")
+
+
+@pytest.mark.parametrize("dims", ["0,2", "2,0"])
+def test_kernel_check_refuses_dims_with_an_empty_side(capsys, dims):
+    d1, d2 = dims.split(",")
+    _assert_refused(capsys, ["kernel-check", "--dims", dims, "--samples", "3"],
+                    f"split ({d1}, {d2}) must have both parts >= 1")
+
+
+@pytest.mark.parametrize("r", ["0", "1", "1.5", "nan"])
+@pytest.mark.parametrize("argv", [["kernel-check", "--dims", "1,1"], ["catalog", "--name", "magic"], ["sample"]],
+                         ids=["kernel-check", "catalog", "sample"])
+def test_commands_refuse_an_r_outside_the_unit_interval(capsys, argv, r):
+    _assert_refused(capsys, argv + ["--r", r, "--samples", "3"], "0 < r < 1")
+
+
+@pytest.mark.parametrize("command", ["validate", "certify"])
+@pytest.mark.parametrize("block, cut, text", [
+    pytest.param("gamma", lambda v: v[:-1], "gamma (2,)", id="short-gamma"),
+    pytest.param("U", lambda m: [row[:-1] for row in m], "U must be square, got shape (3, 2)", id="non-square-U"),
+])
+def test_a_misshapen_block_is_a_parse_error(capsys, tmp_path, colligation_file, command, block, cut, text):
+    obj = json.loads(colligation_file.read_text())
+    path = tmp_path / "misshapen.json"
+    path.write_text(json.dumps({**obj, block: cut(obj[block])}))
+    _assert_refused(capsys, [command, "--input", str(path)], "colligation: ", text)
+
+
 @pytest.mark.parametrize("tol", ["inf", "1e309", "nan"])
 def test_commands_refuse_a_non_finite_tol(capsys, tmp_path, spec_file, tol):
     # |f| = 5 everywhere: an infinite --tol would pass certify's schur_bound.

@@ -36,12 +36,9 @@ DIFF_TOL = 1e-13
 def test_subspace_split():
     sp = SubspaceSplit(2, 3)
     assert sp.total == 5
-    assert sp.proper
-    assert not SubspaceSplit(1, 0).proper
-    with pytest.raises(InvalidParams):
-        SubspaceSplit(-1, 2)
-    with pytest.raises(InvalidParams):
-        SubspaceSplit(0, 0)
+    for d1, d2 in [(1, 0), (0, 2), (0, 0), (-1, 2), (3, -1)]:
+        with pytest.raises(InvalidParams, match=re.escape(f"split ({d1}, {d2}) must have both parts >= 1")):
+            SubspaceSplit(d1, d2)
 
 
 def test_build_R_frozen():
@@ -53,17 +50,18 @@ def test_build_R_frozen():
 
 
 def test_build_R_rejects_bad_input():
-    with pytest.raises(InvalidParams):
-        build_R(SubspaceSplit(1, 0), 0.5)
+    # A split with an empty side is refused before any R can be built from it.
+    for d1, d2 in [(1, 0), (0, 2)]:
+        with pytest.raises(InvalidParams, match="must have both parts >= 1"):
+            build_R(SubspaceSplit(d1, d2), 0.5)
     with pytest.raises(InvalidParams):
         build_R(SubspaceSplit(1, 1), 1.0)
     # A directly built ROperator is checked the same way.
-    for split, r in [(SubspaceSplit(1, 0), 0.5), (SubspaceSplit(0, 2), 0.5), (SubspaceSplit(1, 1), 1.5),
-                     (SubspaceSplit(1, 1), 0.0), (SubspaceSplit(1, 1), float("nan"))]:
+    for r in [1.5, 0.0, float("nan")]:
         with pytest.raises(InvalidParams):
-            ROperator(split, r)
+            ROperator(SubspaceSplit(1, 1), r)
         with pytest.raises(InvalidParams):
-            ROperator(split=split, r=r)
+            ROperator(split=SubspaceSplit(1, 1), r=r)
     assert build_R is ROperator
 
 
@@ -356,19 +354,17 @@ def test_validate_colligation_catches_nonunitary_L():
     assert "l_unitary_left" in failing or "l_unitary_right" in failing
 
 
-def test_validate_colligation_catches_improper_split():
-    c = Colligation(
-        r=0.5,
-        split=SubspaceSplit(1, 0),
-        a=1.0,
-        beta=np.zeros(1, dtype=complex),
-        gamma=np.zeros(1, dtype=complex),
-        D=np.eye(1, dtype=complex),
-        U=np.eye(1, dtype=complex),
-    )
-    report = validate_colligation(c)
-    assert not report.passed
-    assert any(chk.name == "split_proper" and not chk.passed for chk in report.checks)
+def test_a_colligation_with_an_empty_side_cannot_be_built():
+    with pytest.raises(InvalidParams, match=re.escape("split (1, 0) must have both parts >= 1")):
+        Colligation(
+            r=0.5,
+            split=SubspaceSplit(1, 0),
+            a=1.0,
+            beta=np.zeros(1, dtype=complex),
+            gamma=np.zeros(1, dtype=complex),
+            D=np.eye(1, dtype=complex),
+            U=np.eye(1, dtype=complex),
+        )
 
 
 def test_random_colligation_is_valid_and_deterministic():

@@ -238,6 +238,32 @@ def test_magic_phi_guards():
         domains.magic_phi(1.0, (2.5, 1.0))
 
 
+# A NaN modulus compares False with every tolerance, so these guards must
+# accept only what lies within it.
+NAN_OMEGAS = [complex("nan"), complex(1.0, float("nan"))]
+
+
+@pytest.mark.parametrize("omega", NAN_OMEGAS)
+def test_magic_phi_refuses_a_nan_omega(omega):
+    with pytest.raises(NotUnimodular):
+        domains.magic_phi(omega, (0.1, 0.01))
+
+
+@pytest.mark.parametrize("omega", NAN_OMEGAS)
+def test_upsilon_refuses_a_nan_omega(omega):
+    with pytest.raises(NotUnimodular):
+        domains.upsilon(omega, 0.5, (0.1, 0.01))
+
+
+def test_mobius_phi_names_a_nan_denominator_as_a_pole():
+    with pytest.raises(PoleAtInput, match="denominator modulus nan at point 0"):
+        domains.mobius_phi(complex("nan"), (0.1, 0.01))
+    stack = np.array(domains.sample_rG(5, 0.5, seed=21), dtype=complex)
+    stack[3] = (float("nan"), 0.0)
+    with pytest.raises(PoleAtInput, match="denominator modulus nan at point 3 "):
+        domains.mobius_phi(1.0, stack)
+
+
 def test_magic_phi_is_bounded_on_G():
     rng = np.random.default_rng(4)
     for _ in range(200):
