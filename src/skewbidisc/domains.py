@@ -364,8 +364,8 @@ def fq_disc(q: Sequence[complex]) -> tuple[complex, float]:
     """
     q1, q2 = _point(q)
     d = 4.0 - abs(q1) ** 2
-    if abs(q1) >= 2.0:
-        raise DegenerateDenominator(f"|q1| = {abs(q1)} >= 2, image is not a disc")
+    if not abs(q1) < 2.0:
+        raise DegenerateDenominator(f"|q1| = {abs(q1)} is not below 2, image is not a disc")
     center = 2.0 * (q1.conjugate() * q2 - q1) / d
     radius = abs(q1 * q1 - 4.0 * q2) / d
     return center, radius

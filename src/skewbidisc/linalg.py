@@ -8,10 +8,8 @@ completes such a partial isometry to a full unitary matrix.  The isometry's
 image frame is a polar factor (the nearest isometry), so it divides by no
 singular value.  Every pair-grid identity the package certifies is an
 equality of two Gramians, measured by the single check :func:`gram_gap`.
-:func:`spectral_norm` takes the top eigenvalue of a scaled Gram matrix; when
-only the largest norm of a stack is wanted, :func:`largest_spectral_norm`
-screens the stack with a Schatten-4 bound and computes the few eigenvalues
-that can still be the maximum.
+:func:`spectral_norm` takes the top eigenvalue of a scaled Gram matrix, for
+one matrix or a whole stack in one ``eigvalsh`` call.
 
 Default tolerances: 1e-10 for identities between computed quantities,
 1e-12 for unitarity defects.
@@ -92,16 +90,6 @@ def blocks(count: int, dim: int) -> list[slice]:
     return [slice(k, k + step) for k in range(0, count, step)]
 
 
-def _scaled_gram(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The smaller Gram matrix of each matrix of a nonempty stack, after dividing it by its
-    largest entry modulus, and those moduli with the two matrix axes kept."""
-    scale = np.abs(a).max(axis=(-2, -1), keepdims=True)
-    b = a / np.maximum(scale, np.finfo(float).tiny)
-    bh = b.conj().swapaxes(-2, -1)
-    gram = bh @ b if a.shape[-1] <= a.shape[-2] else b @ bh
-    return gram, scale
-
-
 def spectral_norm(m):
     """Largest singular value (a float), or the array of them for a ``(..., m, n)`` stack.
 
@@ -114,57 +102,12 @@ def spectral_norm(m):
     if a.size == 0:
         norms = np.zeros(a.shape[:-2])
     else:
-        gram, scale = _scaled_gram(a)
-        top = np.linalg.eigvalsh(gram)[..., -1]
+        scale = np.abs(a).max(axis=(-2, -1), keepdims=True)
+        b = a / np.maximum(scale, np.finfo(float).tiny)
+        bh = b.conj().swapaxes(-2, -1)
+        top = np.linalg.eigvalsh(bh @ b if a.shape[-1] <= a.shape[-2] else b @ bh)[..., -1]
         norms = np.sqrt(np.maximum(top, 0.0)) * scale[..., 0, 0]
     return float(norms) if a.ndim == 2 else norms
-
-
-def largest_spectral_norm(m, floor: float = 0.0) -> float:
-    """``max(floor, spectral_norm(m).max())`` for an ``(N, m, n)`` stack, bit for bit.
-
-    ``floor`` is returned for an empty stack.  Most matrices are settled without
-    an eigenvalue: the Schatten-4 norm ``(sum sigma_i^4)^(1/4)``, which is
-    ``sqrt(||G||_F)`` times the scale for the scaled Gram matrix ``G`` of
-    :func:`spectral_norm`, lies between ``sigma_max`` and ``n^(1/4) sigma_max``.
-    The matrix with the largest bound gets its exact norm first, which raises
-    ``floor``; then one ``eigvalsh`` call takes the matrices whose bound is at
-    least ``floor (1 - 1e-8)``, and the others are skipped.
-
-    A skipped matrix cannot hold the computed maximum.  Its computed norm is the
-    ``sqrt`` of the top ``eigvalsh`` eigenvalue of the computed ``G``.  ``eigvalsh`` is
-    backward stable, so that eigenvalue exceeds ``lambda_max(G) <= ||G||_F`` by at most
-    a few ``n eps`` times ``||G||_2`` (``G`` is Hermitian to roundoff, and ``eigvalsh``
-    reads one triangle of it); the sum of squares under ``||G||_F`` is off by at most
-    ``n^2 eps`` relative, and the two square roots halve that twice.  So a computed
-    norm exceeds its computed bound by about 1e-14 relative for the n up to a few dozen
-    used here (equality holds for rank one, where roundoff alone decides), and the
-    slack of 1e-8 covers that six orders over: a bound below ``floor (1 - 1e-8)``
-    means a norm below ``floor``.  Each norm that is computed takes the operations
-    :func:`spectral_norm` takes, on the same Gram matrix, so it is the same float.
-    """
-    floor = float(floor)
-    a = _as_matrix(m, "norm operand", stack=True)
-    if a.ndim != 3:
-        raise ShapeMismatch(f"norm operand must be an (N, m, n) stack, got shape {a.shape}")
-    if a.size == 0:
-        return max(floor, 0.0) if len(a) else floor
-    gram, scale = _scaled_gram(a)
-    scale = scale[:, 0, 0]
-    bound = np.sqrt(np.linalg.norm(gram, axis=(1, 2))) * scale
-    cut = 1.0 - 1e-8  # the slack of the docstring
-    first = int(np.argmax(bound))
-    if bound[first] < floor * cut:
-        return floor
-
-    def norms(idx):
-        top = np.linalg.eigvalsh(gram[idx])[:, -1]
-        return np.sqrt(np.maximum(top, 0.0)) * scale[idx]
-
-    floor = max(floor, float(norms([first])[0]))
-    rest = np.flatnonzero(bound >= floor * cut)
-    rest = rest[rest != first]
-    return max(floor, float(norms(rest).max())) if rest.size else floor
 
 
 def is_unitary(m, tol: float = 1e-12) -> bool:

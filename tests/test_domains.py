@@ -313,6 +313,12 @@ def test_fq_disc_degenerate():
         domains.fq_disc((2.0, 0.0))
 
 
+@pytest.mark.parametrize("q1", NAN_OMEGAS)
+def test_fq_disc_refuses_a_nan_q1(q1):
+    with pytest.raises(DegenerateDenominator, match=r"\|q1\| = nan is not below 2"):
+        domains.fq_disc((q1, 0.0))
+
+
 def _sample_disc_pairs_reference(n, seed, to_point):
     """The one-pair-at-a-time rejection loop the array sampler replaced."""
     rng = np.random.Generator(np.random.Philox(seed))

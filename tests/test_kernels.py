@@ -341,6 +341,39 @@ def _hermitian_bound_from_basis(ctx):
     return 4.0 * ctx.r * d_a + 4.0 * ctx.r**3 * d_ad + 2.0 * ctx.r**4 * d_adb
 
 
+def _domain_bound_from_basis(ctx):
+    """2r^2 ||E_U||, with E_U = R^-2 - R^-1 U* U R^-1 the difference of the basis rows D and AB:
+    the bound on both defects over the whole domain."""
+    basis = ctx.basis.reshape(8, ctx.dim, ctx.dim)
+    return 2.0 * ctx.r * ctx.r * linalg.spectral_norm(basis[2] - basis[5])
+
+
+def _closed_gap(g):
+    """The closed form of an identity's coefficient gap: g on row D, -g on row AB, 0 elsewhere."""
+    closed = np.zeros((len(g), 8), dtype=complex)
+    closed[:, 2], closed[:, 5] = g, -g
+    return closed
+
+
+def _stated_bounds(ctx, s, t, lam, mu):
+    """The factorization and substitution values of residual_maxima by their stated formula,
+    2r^2 ||E_U|| + max over the pairs of sum_j (|gap_j - closed_j| + 16 eps (|left_j| + |right_j|)) ||basis_j||_F,
+    with each closed form computed here from the points."""
+    s, t, lam, mu = (np.array(p, dtype=complex).reshape(-1, 2) for p in (s, t, lam, mu))
+    r = ctx.r
+    sides = {
+        "factorization": (kernels._y_coefs(s, t), kernels._rhs_coefs(s, t), 0.5 * t[:, 0].conj() * s[:, 0]),
+        "substitution": (kernels._z_coefs(r, lam, mu), kernels._y_coefs(_pi_t_r(lam, r), _pi_t_r(mu, r)),
+                         -(mu[:, 0].conj() * lam[:, 0] + r * r * mu[:, 1].conj() * lam[:, 1])),
+    }
+    row_norms = np.linalg.norm(ctx.basis, axis=1)
+    bounds = {}
+    for name, (left, right, g) in sides.items():
+        per_pair = (np.abs(left - right - _closed_gap(g)) + 16.0 * EPS * (np.abs(left) + np.abs(right))) @ row_norms
+        bounds[name] = _domain_bound_from_basis(ctx) + per_pair.max(initial=0.0)
+    return bounds
+
+
 def _kernel_check_samples(dims, r, samples, seed):
     """The unitaries and samples of `kernel-check`, as (ctx, s, t, lam, mu) per unitary."""
     per = max(samples // 3, 1) if samples else 0
@@ -357,39 +390,82 @@ def _kernel_check_samples(dims, r, samples, seed):
     ]
 
 
+def _assert_bounds_the_public_residuals(ctx, got, s, t, lam, mu):
+    """Each reported value meets its formula, 2r^2 ||E_U|| and every public residual at the pairs."""
+    assert {name: got[name] for name in PUBLIC_RESIDUALS} == _stated_bounds(ctx, s, t, lam, mu)
+    assert got["hermitian_symmetry"] == _hermitian_bound_from_basis(ctx)
+    for name, residual in PUBLIC_RESIDUALS.items():
+        p, q = (lam, mu) if name == "substitution" else (s, t)
+        assert got[name] >= _domain_bound_from_basis(ctx)
+        assert np.all(residual(ctx, p, q) <= got[name])
+
+
 @pytest.mark.parametrize("dims", [(1, 1), (2, 3), (8, 8), (5, 11)])
 @pytest.mark.parametrize("r", [0.01, 0.5, 0.999])
 @pytest.mark.parametrize("seed", [0, 1])
 def test_kernel_check_reports_the_largest_public_residual(dims, r, seed, capsys):
+    # The report bounds the largest public residual: it gives the largest, over the three
+    # unitaries, of each one's stated bound.
     argv = ["kernel-check", "--dims", "%d,%d" % dims, "--r", str(r), "--samples", "150", "--seed", str(seed)]
     assert cli.run(argv) == 0
     report = json.loads(capsys.readouterr().out)
     worst = dict.fromkeys([*PUBLIC_RESIDUALS, "hermitian_symmetry"], 0.0)
     for ctx, s, t, lam, mu in _kernel_check_samples(dims, r, 150, seed):
-        for name, residual in PUBLIC_RESIDUALS.items():
-            p, q = (lam, mu) if name == "substitution" else (s, t)
-            worst[name] = max(worst[name], residual(ctx, p, q).max())
-        worst["hermitian_symmetry"] = max(worst["hermitian_symmetry"], _hermitian_bound_from_basis(ctx))
-    # Bit for bit: the JSON floats round-trip exactly.
+        got = residual_maxima(ctx, s, t, lam, mu)
+        _assert_bounds_the_public_residuals(ctx, got, s, t, lam, mu)
+        worst = {name: max(value, got[name]) for name, value in worst.items()}
+    # The JSON floats round-trip exactly.
     assert [(name, value) for name, value, _ in report["checks"]] == list(worst.items())
+    assert report["max_residual"] <= 1e-12
 
 
-@pytest.mark.parametrize("dims", [(1, 1), (2, 3), (8, 8)])
+@pytest.mark.parametrize("dims", [(1, 1), (2, 3), (8, 8), (12, 12)])
 @pytest.mark.parametrize("r", [1e-3, 0.5, 0.999])
+@pytest.mark.parametrize("samples", [0, 31, 300])
+def test_kernel_check_report_bounds_every_sampled_residual(dims, r, samples, capsys):
+    # The report keeps its checks, order, thresholds and sample_count; each value bounds the
+    # largest public residual at the campaign's pairs, and with no samples it is 2r^2 ||E_U||.
+    for seed in range(3):
+        argv = ["kernel-check", "--dims", "%d,%d" % dims, "--r", str(r), "--samples", str(samples), "--seed", str(seed)]
+        assert cli.run(argv) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert [(name, tol) for name, _, tol in report["checks"]] == [
+            ("factorization", 1e-10), ("substitution", 1e-10), ("hermitian_symmetry", 1e-10)]
+        assert report["sample_count"] == (3 * max(samples // 3, 1) if samples else 0)
+        values = {name: value for name, value, _ in report["checks"]}
+        assert report["passed"] and report["max_residual"] == max(values.values())
+        campaign = _kernel_check_samples(dims, r, samples, seed)
+        for ctx, s, t, lam, mu in campaign:
+            domain = _domain_bound_from_basis(ctx)
+            assert values["factorization"] >= np.max(factorization_residual(ctx, s, t), initial=domain)
+            assert values["substitution"] >= np.max(substitution_residual(ctx, lam, mu), initial=domain)
+        if not samples:
+            domain = max(_domain_bound_from_basis(ctx) for ctx, *_ in campaign)
+            assert values["factorization"] == values["substitution"] == domain
+
+
+@pytest.mark.parametrize("dims", [(1, 1), (2, 3), (8, 8), (12, 12)])
+@pytest.mark.parametrize("r", [1e-4, 1e-3, 0.5, 0.999, 1.0 - 1e-6])
 def test_residual_maxima_match_the_public_residuals(dims, r, monkeypatch):
-    ctx = _context(dims, r, scale=1.05)  # residuals of order 0.1, not roundoff
     s, t = domains.sample_rG(23, r, seed=76), domains.sample_rG(23, r, seed=77)
     lam = domains.sample_skew_bidisc(23, r, seed=78)
     mu = domains.sample_skew_bidisc(23, r, seed=79)
-    monkeypatch.setattr(linalg, "BLOCK_ENTRIES", 5 * ctx.dim**2)  # blocks of 5 pairs
-    bound = _hermitian_bound_from_basis(ctx)
-    expected = {
-        "factorization": factorization_residual(ctx, s, t).max(),
-        "substitution": substitution_residual(ctx, lam, mu).max(),
-        "hermitian_symmetry": bound,
-    }
-    assert residual_maxima(ctx, s, t, lam, mu) == expected
-    assert residual_maxima(ctx, [], [], [], []) == {"factorization": 0.0, "substitution": 0.0, "hermitian_symmetry": bound}
+    edge_s, edge_lam = _near_boundary_points(r, 4, seed=80)
+    edge_t, edge_mu = _near_boundary_points(r, 4, seed=81)
+    s, t = np.vstack([s, edge_s]), np.vstack([t, edge_t])
+    lam, mu = lam + edge_lam, mu + edge_mu
+    monkeypatch.setattr(linalg, "BLOCK_ENTRIES", 5 * (sum(dims)) ** 2)  # public residuals in blocks of 5 pairs
+    # Scaled U: the defects are roundoff, E_U of order 1e-12 r^-2, and E_U of order 0.1 r^-2.
+    for scale in (1.0, 1.0 + 1e-12, 1.05):
+        ctx = _context(dims, r, scale=scale)
+        got = residual_maxima(ctx, s, t, lam, mu)
+        _assert_bounds_the_public_residuals(ctx, got, s, t, lam, mu)
+        no_pairs = residual_maxima(ctx, [], [], [], [])
+        domain = _domain_bound_from_basis(ctx)
+        assert no_pairs == {"factorization": domain, "substitution": domain,
+                            "hermitian_symmetry": _hermitian_bound_from_basis(ctx)}
+        if scale == 1.05:
+            assert got["factorization"] > 0.2  # 2r^2 ||E_U|| = 2 (1.05^2 - 1) = 0.205
     with pytest.raises(ShapeMismatch):
         residual_maxima(ctx, s, t[:3], lam, mu)
 
@@ -404,8 +480,8 @@ def test_hermitian_bound_holds_the_closed_form_of_an_injected_asymmetry(dims, r)
     _, a, _, b, ad, _, db, adb = ctx.basis.reshape(8, ctx.dim, ctx.dim)
     d_a, d_ad, d_adb = a.conj().T - b, ad.conj().T - db, adb.conj().T - adb
     s, t = domains.sample_rG(100, r, seed=99), domains.sample_rG(100, r, seed=100)
-    y = kernels._y(ctx, s, t)
-    defect = y.conj().swapaxes(1, 2) - kernels._y(ctx, t, s)
+    y = kernels._combine(ctx, kernels._y_coefs(s, t))
+    defect = y.conj().swapaxes(1, 2) - kernels._combine(ctx, kernels._y_coefs(t, s))
     s1, s2, t1, t2 = (x[:, None, None] for x in (s[:, 0], s[:, 1], t[:, 0], t[:, 1]))
     closed = (-t1 * d_a + s1.conj() * d_a.conj().T + t2 * s1.conj() * d_ad - t1 * s2.conj() * d_ad.conj().T
               - 2.0 * t2 * s2.conj() * d_adb)
@@ -415,14 +491,50 @@ def test_hermitian_bound_holds_the_closed_form_of_an_injected_asymmetry(dims, r)
     assert 1e-10 < linalg.spectral_norm(defect).max() <= bound  # the asymmetry fails the check
 
 
-def test_a_broken_y_coefficient_fails_the_factorization_check(monkeypatch, capsys):
-    y = kernels._y
-    # Flip the sign of the s1 B term: -s1 B + 2 s1 B = s1 B.
-    monkeypatch.setattr(kernels, "_y", lambda ctx, s, t: y(ctx, s, t) + 2.0 * s[:, 0, None, None] * ctx.urinv)
+def test_a_nearly_unitary_U_that_the_context_accepts_fails_the_domain_bound():
+    # U* U = (1 + 9e-11) I passes the unitarity test at 1e-10, and E_U = -9e-11 R^-2.
+    ctx = KernelContext(haar_unitary(5, 3) * np.sqrt(1.0 + 9e-11), build_R(SubspaceSplit(2, 3), 0.5))
+    bounds = residual_maxima(ctx, [], [], [], [])
+    assert 1.7e-10 < bounds["factorization"] == bounds["substitution"] < 1.9e-10
+
+
+def _flip_coefficient(monkeypatch, builder, column):
+    """Make the kernels' coefficient builder ``builder`` flip the sign of one basis row's coefficient."""
+    build = getattr(kernels, builder)
+
+    def flipped(*args):
+        coefs = build(*args)
+        coefs[:, column] *= -1.0
+        return coefs
+
+    monkeypatch.setattr(kernels, builder, flipped)
+
+
+def _broken_kernel_check(monkeypatch, capsys, builder, column):
+    """The kernel-check report, as {name: value}, with one coefficient's sign flipped; it must fail."""
+    _flip_coefficient(monkeypatch, builder, column)
     assert cli.run(["kernel-check", "--dims", "2,3", "--samples", "60"]) == 1
     checks = {name: value for name, value, _ in json.loads(capsys.readouterr().out)["checks"]}
-    assert checks["factorization"] > 1e-3
-    assert checks["hermitian_symmetry"] <= 1e-10  # the bound reads the basis, not _y
+    assert checks["hermitian_symmetry"] <= 1e-10  # the bound reads the basis, not the builders
+    return checks
+
+
+def test_a_broken_y_coefficient_fails_the_factorization_check(monkeypatch, capsys):
+    # Flip the sign of the s1 B term of Y: Y is a side of both identities.
+    checks = _broken_kernel_check(monkeypatch, capsys, "_y_coefs", 3)
+    assert checks["factorization"] > 1e-3 and checks["substitution"] > 1e-3
+
+
+def test_a_broken_z_coefficient_fails_the_substitution_check(monkeypatch, capsys):
+    # Flip the sign of the -(r l2 + l1) B term of Z.
+    checks = _broken_kernel_check(monkeypatch, capsys, "_z_coefs", 3)
+    assert checks["substitution"] > 1e-3 and checks["factorization"] <= 1e-10
+
+
+def test_a_broken_right_hand_side_coefficient_fails_the_factorization_check(monkeypatch, capsys):
+    # Flip the sign of the h AB term of the factorization's right-hand side.
+    checks = _broken_kernel_check(monkeypatch, capsys, "_rhs_coefs", 5)
+    assert checks["factorization"] > 1e-3 and checks["substitution"] <= 1e-10
 
 
 def _e_u(ctx):
@@ -440,7 +552,7 @@ def test_substitution_defect_is_its_closed_form_in_E_U(dims, r):
     lam = np.array(domains.sample_skew_bidisc(40, r, seed=101))
     mu = np.array(domains.sample_skew_bidisc(40, r, seed=102))
     coef = -(mu[:, 0].conj() * lam[:, 0] + r * r * mu[:, 1].conj() * lam[:, 1])
-    gap = kernels._substitution_defect(ctx, lam, mu) - coef[:, None, None] * e_u
+    gap = kernels._defect(kernels._substitution, ctx, lam, mu) - coef[:, None, None] * e_u
     assert np.max(np.abs(gap)) <= 64 * EPS * scale
 
 
@@ -450,7 +562,7 @@ def test_factorization_defect_is_its_closed_form_in_E_U(dims, r):
     ctx = _context(dims, r, scale=1.05)
     e_u, scale = _e_u(ctx)
     s, t = domains.sample_rG(40, r, seed=103), domains.sample_rG(40, r, seed=104)
-    gap = kernels._factorization_defect(ctx, s, t) - 0.5 * (t[:, 0].conj() * s[:, 0])[:, None, None] * e_u
+    gap = kernels._defect(kernels._factorization, ctx, s, t) - 0.5 * (t[:, 0].conj() * s[:, 0])[:, None, None] * e_u
     assert np.max(np.abs(gap)) <= 64 * EPS * scale
 
 
@@ -458,10 +570,9 @@ def test_factorization_defect_is_its_closed_form_in_E_U(dims, r):
 def test_kernel_check_computes_few_eigenvalues(seed, eigvalsh_loads, capsys):
     assert cli.run(["kernel-check", "--dims", "8,8", "--samples", "300", "--seed", str(seed)]) == 0
     capsys.readouterr()
-    # 300 factorization defects and 300 substitution defects: every one of the 600 had its
-    # eigenvalues computed before the screen.  The 6 unitarity defects are settled by their
-    # Frobenius norms, and the 9 norms of the three Hermitian bounds take no screen.
-    assert 6 < sum(eigvalsh_loads) <= 150
+    # One call per unitary, for the norms of E_U and of the three Hermitian gaps; no sampled
+    # pair forms a matrix, and the 6 unitarity defects are settled by their Frobenius norms.
+    assert eigvalsh_loads == [4, 4, 4]
 
 
 def _rhs_through_s_UR(ctx, s, t):
@@ -477,7 +588,8 @@ def _rhs_through_s_UR(ctx, s, t):
 def _assert_defect_matches_s_UR(ctx, s, t):
     """The factorization defect against Y minus the right-hand side through s_UR."""
     rhs = _rhs_through_s_UR(ctx, s, t)
-    gap = np.max(np.abs(kernels._factorization_defect(ctx, s, t) - (kernels._y(ctx, s, t) - rhs)))
+    y = kernels._combine(ctx, kernels._y_coefs(s, t))
+    gap = np.max(np.abs(kernels._defect(kernels._factorization, ctx, s, t) - (y - rhs)))
     assert gap <= DIFF_TOL * max(1.0, np.max(np.abs(rhs)))
 
 
@@ -625,8 +737,9 @@ def test_no_points_give_empty_defects_and_the_kernel_check_makes_no_eig(monkeypa
     ctx = _context((2, 3), 0.5)
     assert factorization_residual(ctx, [], []).shape == (0,)
     no_points = np.zeros((0, 2), dtype=complex)
-    assert kernels._factorization_defect(ctx, no_points, no_points).shape == (0, 5, 5)
-    no_pairs = {"factorization": 0.0, "substitution": 0.0, "hermitian_symmetry": _hermitian_bound_from_basis(ctx)}
+    assert kernels._defect(kernels._factorization, ctx, no_points, no_points).shape == (0, 5, 5)
+    domain = _domain_bound_from_basis(ctx)
+    no_pairs = {"factorization": domain, "substitution": domain, "hermitian_symmetry": _hermitian_bound_from_basis(ctx)}
     assert residual_maxima(ctx, [], [], [], []) == no_pairs
     for samples in ("0", "30"):
         assert cli.run(["kernel-check", "--dims", "8,8", "--samples", samples]) == 0
@@ -644,5 +757,5 @@ def test_singular_factor_names_the_same_point_as_s_UR():
         s_UR(s, ctx.U, ctx.R)
     assert "matrix 5 of the stack" in str(ref.value)
     with pytest.raises(NotInvertible) as got:
-        kernels._factorization_defect(ctx, s, s[::-1])
+        kernels._defect(kernels._factorization, ctx, s, s[::-1])
     assert str(got.value) == str(ref.value)
